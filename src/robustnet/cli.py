@@ -83,13 +83,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = load_graph(args.graph)
-    limit = _max_n()
-    if g.n > limit:
-        raise ValueError(
-            f"graph has {g.n} nodes; exact certification is capped at {limit} "
-            f"(override with ROBUSTNET_MAX_N)"
-        )
+    g = load_graph(args.graph, max_n=_max_n())
     cert = max_robustness(g)
     report_path = Path(args.output) if args.output else Path(f"{args.graph}.cert.json")
     report_path.write_text(json.dumps(cert.to_json_dict(), indent=2) + "\n")

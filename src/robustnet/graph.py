@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -180,8 +180,17 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; '#' starts a comment, blank lines are skipped."""
+def _check_vertex_count(n, max_n) -> None:
+    """Reject a declared vertex count above max_n before anything is sized by it."""
+    if max_n is not None and isinstance(n, int) and n > max_n:
+        raise ValueError(f"graph declares {n} nodes, above the limit of {max_n}")
+
+
+def parse_edge_list(text: str, max_n: Optional[int] = None) -> Graph:
+    """Parse edge-list text; '#' starts a comment, blank lines are skipped.
+
+    A header vertex count above max_n (when given) is rejected at once.
+    """
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,6 +206,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(values) != 1:
                 raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
             n = values[0]
+            _check_vertex_count(n, max_n)
         elif len(values) == 2:
             edges.append((values[0], values[1]))
         else:
@@ -210,12 +220,13 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
-def graph_from_json_dict(data: dict) -> Graph:
+def graph_from_json_dict(data: dict, max_n: Optional[int] = None) -> Graph:
     try:
         n = data["n"]
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'") from exc
+    _check_vertex_count(n, max_n)
     return new_graph(n, [tuple(e) for e in edges])
 
 
@@ -223,13 +234,17 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text(format_edge_list(g))
 
 
-def read_edge_list(path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+def read_edge_list(path, max_n: Optional[int] = None) -> Graph:
+    return parse_edge_list(Path(path).read_text(), max_n)
 
 
-def load_graph(path) -> Graph:
-    """Read a graph file in either edge-list or JSON form (sniffed by content)."""
+def load_graph(path, max_n: Optional[int] = None) -> Graph:
+    """Read a graph file in either edge-list or JSON form (sniffed by content).
+
+    Files declaring more than max_n vertices (when given) are rejected
+    before the graph is built.
+    """
     text = Path(path).read_text()
     if text.lstrip()[:1] == "{":
-        return graph_from_json_dict(json.loads(text))
-    return parse_edge_list(text)
+        return graph_from_json_dict(json.loads(text), max_n)
+    return parse_edge_list(text, max_n)

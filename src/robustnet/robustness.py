@@ -5,21 +5,16 @@ outside S.  A graph is r-robust when, for every pair of disjoint nonempty
 vertex subsets, at least one side is r-reachable; the maximum attainable
 level on n vertices is ceil(n/2).
 
-The certifier enumerates assignments of vertices to (S1, S2, neither) as a
-pair of bitmasks.  Each unordered pair of disjoint nonempty subsets is
-visited exactly once: the S1 mask ascends over all nonempty subsets, and
-within it the S2 mask ascends over submasks of the complement restricted to
-indices above S1's smallest member (so the smallest assigned vertex always
-sits in S1).  Three prunings keep the 3^n space tractable up to n ~ 16:
+The certifier works on two tables over all 2^n vertex masks: reach[m], the
+reachability of subset m, and best[m], the smallest reach over the nonempty
+submasks of m, which one min-zeta (subset-sum) transform computes from
+reach in O(n 2^n).  For a fixed S1 the best partner S2 is best[V - S1], so
 
-* a pair is abandoned as soon as either side shows a vertex with r
-  outside-neighbors (whole S2 branches are skipped when S1 alone suffices);
-* levels above ceil(n/2) are never part of the search;
-* the maximum level is located by binary search capped at the minimum
-  degree, probing the cap first since extremal graphs usually sit there.
+    r_max = min over nonempty proper S1 of max(reach[S1], best[V - S1]),
 
-Subset reachability values are memoized per certification run, which is
-what makes repeated level scans cheap.
+and the graph is r-robust exactly when no S1 has both values below r.
+Both questions are answered from the same tables; the witness is read
+from them in the canonical order described at _violating_pair.
 """
 
 from __future__ import annotations
@@ -27,17 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graph import Graph, bits, densest_subset_of_size, max_clique
 
-# Exhaustive certification beyond ~20 vertices is out of reach (3^n pairs);
-# refuse early rather than thrash.
+# The tables hold 2^n entries; refuse early rather than exhaust memory.
 MAX_EXACT_N = 20
 
 ODD_CASE = "odd-case"
 EVEN_CASE = "even-case"
 GENERAL_COROLLARY = "general-corollary"
 
-_UNKNOWN = 0xFF  # memo sentinel; reachability values are < MAX_EXACT_N
+_NONE = np.int8(127)  # table entry of the empty mask, above every reach
+_LOW_BITS = 5  # mask bits whose transform passes run on the transposed table
+_CHUNK = 1 << 17  # entries in one vertex chunk of the reach build
+_BLOCK = 1 << 12  # S1 masks screened per round of the witness search
 
 WitnessPair = tuple[frozenset[int], frozenset[int]]
 
@@ -49,8 +48,8 @@ class RobustnessCertificate:
     The witness is a disjoint nonempty pair in which neither side is
     (r_max + 1)-reachable; it is absent only for the single-vertex graph,
     where no valid pair exists and r_max = 1 is adopted from the ceil(n/2)
-    ceiling convention.  pairs_examined counts the (S1, S2) pairs whose
-    joint reachability was evaluated across all level scans (diagnostics).
+    ceiling convention.  pairs_examined counts the S1 candidates evaluated
+    (diagnostics): every nonempty proper subset, 2^n - 2, and 0 for n = 1.
     """
 
     r_max: int
@@ -113,63 +112,96 @@ def reachability(g: Graph, members) -> int:
     mask = g.subset_mask(members)
     if mask == 0:
         raise ValueError("reachability of the empty set is undefined")
-    return _reach_of_mask(g.rows, mask)
-
-
-def _reach_of_mask(rows, mask: int) -> int:
-    best = 0
-    outside = ~mask
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        d = (rows[low.bit_length() - 1] & outside).bit_count()
-        if d > best:
-            best = d
-    return best
-
-
-def _level_scan(g: Graph, r: int, memo: bytearray):
-    """Search for a disjoint nonempty pair with both sides below level r.
-
-    Returns (robust, witness_masks, pairs_examined); witness_masks is the
-    first violating pair in the canonical enumeration order, or None.
-    """
-    if r <= 0:
-        return True, None, 0
-    rows = g.rows
-    full = g.full_mask
-    pairs = 0
-    for m1 in range(1, full + 1):
-        r1 = memo[m1]
-        if r1 == _UNKNOWN:
-            r1 = _reach_of_mask(rows, m1)
-            memo[m1] = r1
-        if r1 >= r:
-            continue  # every pair with this S1 is already settled
-        low = (m1 & -m1).bit_length() - 1
-        allowed = ~m1 & full & ~((1 << (low + 1)) - 1)
-        s2 = 0
-        while True:
-            s2 = (s2 - allowed) & allowed  # ascending submask enumeration
-            if not s2:
-                break
-            pairs += 1
-            r2 = memo[s2]
-            if r2 == _UNKNOWN:
-                r2 = _reach_of_mask(rows, s2)
-                memo[s2] = r2
-            if r2 < r:
-                return False, (m1, s2), pairs
-    return True, None, pairs
+    return max((g.rows[v] & ~mask).bit_count() for v in bits(mask))
 
 
 def _check_capability(n: int) -> None:
     if n > MAX_EXACT_N:
         raise ValueError(
-            f"exact certification enumerates ~3^n subset pairs; "
-            f"n={n} exceeds the supported limit of {MAX_EXACT_N}"
+            f"exact certification builds tables over all 2^n vertex subsets "
+            f"(about 6 bytes each); n={n} exceeds the supported limit of {MAX_EXACT_N}"
         )
+
+
+def _min_zeta(table, positions) -> None:
+    """In place: table[m] becomes the minimum of table over the submasks of m
+    that differ from m only at the given bit positions of the flat index."""
+    for p in positions:
+        pairs = table.reshape(-1, 2, 1 << p)
+        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+
+
+def _subset_tables(g: Graph):
+    """reach, best and pair tables over every vertex mask m, as int8 arrays.
+
+    reach[m] is the reachability of subset m and best[m] the smallest reach
+    over the nonempty submasks of m; entry 0 of both is _NONE.  pair[m] is
+    max(reach[m], best[~m]), the best pair with S1 = m.
+
+    Mask m is split into its low k bits and the rest.  Vertex v's count of
+    neighbors outside m is the sum of a term over each part, so each vertex
+    adds one outer sum of two short vectors; a non-member also gets -32 on
+    its own part, which keeps it below every member.  The tables are built
+    transposed, as [low, high], so that the transform passes over the low
+    bits run along whole rows; those over the high bits then run in mask
+    order, along 2^k or more entries.
+    """
+    n = g.n
+    k = min(n, _LOW_BITS)
+    vertex = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
+    rows = np.array(g.rows, dtype=np.int32)[:, None]
+    terms = []
+    for part in (np.arange(1 << k, dtype=np.int32), np.arange(0, 1 << n, 1 << k, dtype=np.int32)):
+        outside = part[::-1]  # the complement of each part, within its bits
+        # uint8 arithmetic wraps, so the int8 view reads count - 32
+        terms.append((np.bitwise_count(rows & outside)
+                      - (np.bitwise_count(vertex & outside) << 5)).view(np.int8))
+    low, high = terms
+    step = max(1, _CHUNK >> n)
+    chunks = ((low[s:s + step, :, None] + high[s:s + step, None, :]).max(axis=0)
+              for s in range(0, n, step))
+    reach = next(chunks)
+    for chunk in chunks:
+        np.maximum(reach, chunk, out=reach)
+    reach[0, 0] = _NONE
+    best = reach.copy()
+    _min_zeta(best.reshape(-1), range(n - k, n))
+    reach, best = reach.T.ravel(), best.T.ravel()
+    _min_zeta(best, range(k, n))
+    return reach, best, np.maximum(reach, best[::-1])
+
+
+def _violating_pair(reach, best, pair, t: int):
+    """First (S1, S2) mask pair, in the canonical order, with both reaches <= t.
+
+    The order is S1 ascending, then S2 ascending over the submasks of
+    allowed(S1), the complement of S1 above its lowest bit.  S1 qualifies
+    when reach[S1] <= t and best[allowed(S1)] <= t; since allowed(S1) lies
+    in the complement, pair[S1] <= t screens candidates first, a block of
+    masks at a time.  S2 is then the first submask of allowed(S1) with
+    reach <= t, which best[allowed(S1)] <= t guarantees to exist.  Returns
+    None when no pair exists.
+    """
+    full = reach.size - 1
+    reach, best = memoryview(reach), memoryview(best)
+    for start in range(0, full + 1, _BLOCK):
+        for i in (pair[start:start + _BLOCK] <= t).nonzero()[0].tolist():
+            s1 = start + i
+            allowed = (full ^ s1) & -((s1 & -s1) << 1)
+            if best[allowed] <= t:
+                s2 = 0
+                while True:
+                    s2 = (s2 - allowed) & allowed  # next submask, ascending
+                    if reach[s2] <= t:
+                        return s1, s2
+    return None
+
+
+def _masks_to_witness(pair) -> Optional[WitnessPair]:
+    if pair is None:
+        return None
+    m1, m2 = pair
+    return frozenset(bits(m1)), frozenset(bits(m2))
 
 
 def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
@@ -184,64 +216,29 @@ def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
     if r == 0:
         return True, None
     _check_capability(g.n)
-    memo = bytearray(b"\xff") * (1 << g.n)
-    robust, witness_masks, _ = _level_scan(g, r, memo)
-    return robust, _masks_to_witness(witness_masks)
-
-
-def _masks_to_witness(witness_masks) -> Optional[WitnessPair]:
-    if witness_masks is None:
-        return None
-    m1, m2 = witness_masks
-    return frozenset(bits(m1)), frozenset(bits(m2))
+    # reach never exceeds n - 1, so clamping keeps the int8 comparison exact
+    pair = _violating_pair(*_subset_tables(g), min(r - 1, g.n))
+    return pair is None, _masks_to_witness(pair)
 
 
 def max_robustness(g: Graph) -> RobustnessCertificate:
     """Certify the exact maximum r for which the graph is r-robust.
 
-    The witness realizes the minimum over pairs of the larger side
-    reachability; when several pairs tie, the first one encountered in the
-    canonical enumeration order at level r_max + 1 is reported, so
-    certificates are reproducible.
+    r_max is the minimum, over disjoint nonempty pairs, of the larger side
+    reachability.  The witness is the first pair in the canonical
+    enumeration order that attains it, which is the pair is_r_robust reports
+    at level r_max + 1, so certificates are reproducible.
     """
     if g.n == 1:
         # No disjoint nonempty pair exists; adopt the ceil(n/2) ceiling.
         return RobustnessCertificate(r_max=1, witness=None, pairs_examined=0)
     _check_capability(g.n)
-    memo = bytearray(b"\xff") * (1 << g.n)
-    total = 0
-    outcomes: dict[int, tuple[bool, object]] = {}
-
-    def scan(level: int) -> bool:
-        nonlocal total
-        robust, witness_masks, pairs = _level_scan(g, level, memo)
-        total += pairs
-        outcomes[level] = (robust, witness_masks)
-        return robust
-
-    ceiling = (g.n + 1) // 2
-    cap = min(ceiling, g.min_degree())
-    r_max = 0
-    if cap >= 1:
-        if scan(cap):
-            r_max = cap
-        else:
-            lo, hi = 0, cap - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if scan(mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            r_max = lo
-    if (r_max + 1) not in outcomes:
-        scan(r_max + 1)
-    robust_above, witness_masks = outcomes[r_max + 1]
-    assert not robust_above, "level above the certified maximum scanned robust"
+    reach, best, pair = _subset_tables(g)
+    r_max = int(pair.min())
     return RobustnessCertificate(
         r_max=r_max,
-        witness=_masks_to_witness(witness_masks),
-        pairs_examined=total,
+        witness=_masks_to_witness(_violating_pair(reach, best, pair, r_max)),
+        pairs_examined=reach.size - 2,
     )
 
 

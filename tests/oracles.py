@@ -1,13 +1,18 @@
 """Naive reference implementations used to cross-check the optimized code.
 
-Everything here enumerates subsets explicitly through itertools and plain
-Python sets: no bitmasks, no pruning, no memoization, no early exits.
+The oracle_* functions enumerate subsets explicitly through itertools and
+plain Python sets: no bitmasks, no pruning, no memoization, no early exits.
 Deliberately slow and obviously correct.
+
+The scan_* functions are the canonical-order reference for certificates:
+the pruned level scan with a binary search over r that the certifier used
+before its subset-table kernel.  They fix which witness pair is reported.
 """
 
 from itertools import combinations
 
 from robustnet import new_graph
+from robustnet.graph import bits
 
 
 def all_nonempty_subsets(n):
@@ -45,6 +50,102 @@ def oracle_is_r_robust(g, r):
         max(subset_reachability(g, a), subset_reachability(g, b)) >= r
         for a, b in disjoint_pairs(g.n)
     )
+
+
+def _scan_reach(rows, mask):
+    best = 0
+    outside = ~mask
+    remaining = mask
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        d = (rows[low.bit_length() - 1] & outside).bit_count()
+        if d > best:
+            best = d
+    return best
+
+
+def _level_scan(g, r, memo):
+    """First pair, in the canonical order, with both sides below level r.
+
+    S1 ascends over all nonempty masks; within it S2 ascends over the
+    submasks of the complement above S1's smallest member, so each
+    unordered pair is visited once.  Returns (robust, masks, pairs).
+    """
+    if r <= 0:
+        return True, None, 0
+    rows = g.rows
+    full = g.full_mask
+    pairs = 0
+    for m1 in range(1, full + 1):
+        r1 = memo[m1]
+        if r1 == 0xFF:
+            r1 = memo[m1] = _scan_reach(rows, m1)
+        if r1 >= r:
+            continue
+        low = (m1 & -m1).bit_length() - 1
+        allowed = ~m1 & full & ~((1 << (low + 1)) - 1)
+        s2 = 0
+        while True:
+            s2 = (s2 - allowed) & allowed
+            if not s2:
+                break
+            pairs += 1
+            r2 = memo[s2]
+            if r2 == 0xFF:
+                r2 = memo[s2] = _scan_reach(rows, s2)
+            if r2 < r:
+                return False, (m1, s2), pairs
+    return True, None, pairs
+
+
+def _witness(masks):
+    if masks is None:
+        return None
+    return frozenset(bits(masks[0])), frozenset(bits(masks[1]))
+
+
+def scan_is_r_robust(g, r):
+    """(verdict, witness) as is_r_robust must report them."""
+    if r == 0:
+        return True, None
+    robust, masks, _ = _level_scan(g, r, bytearray(b"\xff") * (1 << g.n))
+    return robust, _witness(masks)
+
+
+def scan_max_robustness(g):
+    """(r_max, witness) as max_robustness must report them: a binary search
+    over levels capped at min(ceil(n/2), min degree), then the first
+    violating pair at level r_max + 1."""
+    if g.n == 1:
+        return 1, None
+    memo = bytearray(b"\xff") * (1 << g.n)
+    outcomes = {}
+
+    def scan(level):
+        robust, masks, _ = _level_scan(g, level, memo)
+        outcomes[level] = (robust, masks)
+        return robust
+
+    cap = min((g.n + 1) // 2, g.min_degree())
+    r_max = 0
+    if cap >= 1:
+        if scan(cap):
+            r_max = cap
+        else:
+            lo, hi = 0, cap - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if scan(mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            r_max = lo
+    if (r_max + 1) not in outcomes:
+        scan(r_max + 1)
+    robust_above, masks = outcomes[r_max + 1]
+    assert not robust_above
+    return r_max, _witness(masks)
 
 
 def oracle_densest_subset(g, k):

@@ -135,6 +135,20 @@ def test_certify_respects_capability_env(tmp_path, capsys, monkeypatch):
     assert main(["certify", str(graph_file), "--quiet"]) == 0
 
 
+def test_certify_rejects_huge_header_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for an over-limit header")
+
+    monkeypatch.setattr("robustnet.graph.new_graph", refuse)
+    monkeypatch.delenv("ROBUSTNET_MAX_N", raising=False)
+    for name, text in (("huge.edges", "10000000000\n"),
+                       ("huge.json", '{"n": 10000000000, "edges": []}')):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["certify", str(path)]) == 2
+        assert "limit of 16" in capsys.readouterr().err
+
+
 def test_certify_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("not a graph\n")

@@ -14,6 +14,7 @@ from robustnet import (
     max_clique,
     new_graph,
     parse_edge_list,
+    read_edge_list,
     sparsest_even,
     write_edge_list,
 )
@@ -200,6 +201,24 @@ def test_json_round_trip():
     assert graph_from_json_dict(json.loads(json.dumps(data))) == g
     with pytest.raises(ValueError):
         graph_from_json_dict({"edges": []})
+
+
+def test_loaders_reject_vertex_counts_above_max_n(tmp_path):
+    assert parse_edge_list("3\n0 1\n", max_n=3).n == 3
+    with pytest.raises(ValueError, match="limit of 3"):
+        parse_edge_list("4\n0 1\n", max_n=3)
+    with pytest.raises(ValueError, match="limit of 3"):
+        graph_from_json_dict({"n": 4, "edges": []}, max_n=3)
+    edge_file = tmp_path / "g.edges"
+    edge_file.write_text("4\n")
+    json_file = tmp_path / "g.json"
+    json_file.write_text('{"n": 4, "edges": []}')
+    for path in (edge_file, json_file):
+        assert load_graph(path).n == 4
+        with pytest.raises(ValueError, match="limit of 3"):
+            load_graph(path, max_n=3)
+    with pytest.raises(ValueError, match="limit of 3"):
+        read_edge_list(edge_file, max_n=3)
 
 
 def test_load_graph_sniffs_format(tmp_path):

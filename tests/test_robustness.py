@@ -1,6 +1,9 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustnet import (
     check_structural_lemmas,
@@ -22,6 +25,8 @@ from oracles import (
     oracle_r_max,
     path_graph,
     random_graph,
+    scan_is_r_robust,
+    scan_max_robustness,
     subset_reachability,
 )
 
@@ -166,6 +171,76 @@ def test_capability_limit():
         is_r_robust(big, 1)
     with pytest.raises(ValueError):
         max_robustness(big)
+
+
+def _assert_matches_scan(g):
+    cert = max_robustness(g)
+    assert (cert.r_max, cert.witness) == scan_max_robustness(g)
+    for r in range((g.n + 1) // 2 + 2):
+        assert is_r_robust(g, r) == scan_is_r_robust(g, r)
+
+
+def test_certificates_match_scan_reference_on_random_graphs():
+    rng = random.Random(2409)
+    for i in range(440):
+        _assert_matches_scan(random_graph(rng, 1 + i % 11, rng.random()))
+
+
+def test_certificates_match_scan_reference_on_extremal_graphs():
+    for r in range(1, 6):
+        for g in (sparsest_odd(r), sparsest_even(r)):
+            _assert_matches_scan(g)
+            for u, v in g.edges():
+                _assert_matches_scan(g.with_edge_removed(u, v))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return new_graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_certificates_match_scan_reference_property(g):
+    _assert_matches_scan(g)
+
+
+def test_pairs_examined_counts_s1_candidates():
+    for n in range(2, 9):
+        assert max_robustness(path_graph(n)).pairs_examined == 2 ** n - 2
+
+
+def _traced_memory(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_certifier_memory_stays_within_16_bytes_per_subset():
+    g = sparsest_even(8)  # n = 16: 2^16 subsets
+    for run in (lambda: max_robustness(g), lambda: is_r_robust(g, 8), lambda: is_r_robust(g, 9)):
+        run()  # first calls may fill interpreter caches
+        current, peak = _traced_memory(run)
+        assert peak <= 1 << 20
+        assert current < 1 << 16  # no subset table outlives the call
+
+
+def test_capability_limit_is_checked_before_tables_are_built():
+    big = new_graph(MAX_EXACT_N + 1)
+
+    def refuse():
+        with pytest.raises(ValueError, match=r"2\^n"):
+            is_r_robust(big, 1)
+        with pytest.raises(ValueError, match=r"2\^n"):
+            max_robustness(big)
+
+    assert _traced_memory(refuse)[1] < 1 << 20
 
 
 def test_edge_lower_bound_values():
