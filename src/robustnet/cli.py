@@ -4,16 +4,12 @@ Exit codes: 0 when the subcommand's success condition holds, 1 when a run
 completes but its property fails (simulate without agreement+validity), and
 2 for input or usage errors.  Machine-readable artifacts are written before
 property-failure exits so a red run still leaves its data behind.
-
-The environment variable ROBUSTNET_MAX_N overrides the default certifier
-capability limit of 16 vertices (the hard library limit is 20).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -23,7 +19,6 @@ import numpy as np
 from .construct import ConstructionRecipe, KINDS, TREE_SHAPES, build
 from .consensus import ThreatModel, check_validity, simulate, write_trace
 from .experiment import (
-    DEFAULT_MAX_N,
     ExperimentConfig,
     records_to_csv_text,
     run_experiment,
@@ -31,19 +26,6 @@ from .experiment import (
 )
 from .graph import load_graph, write_edge_list
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
-
-
-def _max_n() -> int:
-    raw = os.environ.get("ROBUSTNET_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ROBUSTNET_MAX_N must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"ROBUSTNET_MAX_N must be positive, got {value}")
-    return value
 
 
 def _say(args, message: str) -> None:
@@ -83,7 +65,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = load_graph(args.graph, max_n=_max_n())
+    g = load_graph(args.graph)
     cert = max_robustness(g)
     report_path = Path(args.output) if args.output else Path(f"{args.graph}.cert.json")
     report_path.write_text(json.dumps(cert.to_json_dict(), indent=2) + "\n")
@@ -163,7 +145,7 @@ def cmd_experiment(args) -> int:
         )
     out_dir = Path(args.output_dir if args.output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, summary = run_experiment(config, max_n=_max_n())
+    records, summary = run_experiment(config)
     records_path = out_dir / "records.csv"
     summary_path = out_dir / "summary.csv"
     records_path.write_text(records_to_csv_text(records))

@@ -21,6 +21,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -70,11 +71,22 @@ def random_walk(start: float, step: float, seed: int) -> Behavior:
     return at
 
 
+_NUMERIC_PARAMS = ("value", "start", "slope", "offset", "amplitude", "period", "step")
+
+
 def behavior_from_spec(spec: dict) -> Behavior:
-    """Build a trajectory from a JSON-style spec: {"kind": ..., params...}."""
+    """Build a trajectory from a JSON-style spec: {"kind": ..., params...}.
+
+    Numeric parameters must be finite numbers: a NaN or infinite adversary
+    value would poison the trimmed averages instead of being trimmed.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"behavior spec must be an object, got {spec!r}")
     kind = spec.get("kind")
+    for name in _NUMERIC_PARAMS:
+        value = spec.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"behavior parameter {name!r} must be a finite number, got {value!r}")
     try:
         if kind == "constant":
             return constant(spec["value"])
@@ -102,7 +114,7 @@ class ThreatModel:
         """Raise ValueError naming the violated condition, if any."""
         if self.scope not in SCOPES:
             raise ValueError(f"threat scope must be one of {SCOPES}, got {self.scope!r}")
-        if not isinstance(self.f, int) or self.f < 0:
+        if isinstance(self.f, bool) or not isinstance(self.f, int) or self.f < 0:
             raise ValueError(f"threat budget F must be a non-negative integer, got {self.f!r}")
         for v in sorted(self.malicious):
             if not isinstance(v, int) or not 0 <= v < g.n:
@@ -177,10 +189,6 @@ class Verdict:
         }
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [list(bits(row)) for row in g.rows]
-
-
 def _as_state_vector(g: Graph, states) -> np.ndarray:
     x = np.asarray(states, dtype=float)
     if x.shape != (g.n,):
@@ -190,11 +198,7 @@ def _as_state_vector(g: Graph, states) -> np.ndarray:
 
 def nominal_step(g: Graph, states) -> np.ndarray:
     """One synchronous uniform-weight averaging update for every agent."""
-    x = _as_state_vector(g, states)
-    out = np.empty(g.n)
-    for i, nbrs in enumerate(_neighbor_lists(g)):
-        out[i] = (x[i] + sum(x[j] for j in nbrs)) / (len(nbrs) + 1)
-    return out
+    return wmsr_step(g, states, 0, range(g.n))
 
 
 def wmsr_step(g: Graph, states, f: int, normal) -> np.ndarray:
@@ -205,14 +209,14 @@ def wmsr_step(g: Graph, states, f: int, normal) -> np.ndarray:
     first), then averages the survivors together with its own value.
     Values equal to its own always survive, and since removal acts on
     values, which of several tied extremes is dropped cannot affect the
-    average.  f = 0 reduces to :func:`nominal_step` on the updating set.
+    average.  f = 0 is plain uniform-weight averaging (:func:`nominal_step`).
     """
-    if not isinstance(f, int) or f < 0:
+    if isinstance(f, bool) or not isinstance(f, int) or f < 0:
         raise ValueError(f"trim parameter F must be a non-negative integer, got {f!r}")
     x = _as_state_vector(g, states)
     updating = sorted(set(normal))
     g.subset_mask(updating)  # range-validates the update set
-    neighbor_lists = _neighbor_lists(g)
+    neighbor_lists = [list(bits(row)) for row in g.rows]
     out = x.copy()
     for i in updating:
         own = x[i]
@@ -243,7 +247,8 @@ def simulate(
     the previous row.  The run stops at the first step where the spread of
     normal states drops below tol, recorded as converged_at, or after
     max_steps updates.  The safety interval is the closed hull of the
-    normal agents' initial states.
+    normal agents' initial states.  A non-finite initial state or trajectory
+    value raises ValueError.
     """
     if not isinstance(max_steps, int) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
@@ -251,6 +256,8 @@ def simulate(
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     threat.validate(g)
     x0 = _as_state_vector(g, initial)
+    if not np.isfinite(x0).all():
+        raise ValueError("initial states must be finite numbers")
     normal = frozenset(range(g.n)) - threat.malicious
     if not normal:
         raise ValueError("at least one normal agent is required")
@@ -264,7 +271,10 @@ def simulate(
         t += 1
         nxt = wmsr_step(g, rows[-1], threat.f, normal)
         for m in threat.malicious:
-            nxt[m] = float(threat.behaviors[m](t))
+            value = float(threat.behaviors[m](t))
+            if not math.isfinite(value):
+                raise ValueError(f"behavior of vertex {m} gave non-finite value {value!r} at t={t}")
+            nxt[m] = value
         rows.append(nxt)
         ns = nxt[idx]
         if float(ns.max() - ns.min()) < tol:

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
-from .robustness import edge_lower_bound, max_robustness
+from .robustness import MAX_EXACT_N, edge_lower_bound, max_robustness
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
 DEFAULT_P_VALUES = (0.7, 0.75, 0.8, 0.85, 0.9)
 NODE_OFFSET_CHOICES = ("2r-1", "2r")
-DEFAULT_MAX_N = 16
 
 RECORD_COLUMNS = ("r", "n", "p", "seed", "edge_count", "r_max", "accepted")
 SUMMARY_COLUMNS = ("r", "n", "min_edges_found", "bound", "gap", "accepted", "requested", "shortfall")
@@ -48,15 +47,16 @@ class ExperimentConfig:
     max_attempts: int = 5000
     output_dir: str = "."
 
-    def validate(self, max_n: int = DEFAULT_MAX_N) -> None:
+    def validate(self) -> None:
         if not self.r_values:
             raise ValueError("at least one robustness target is required")
         for r in self.r_values:
             if not isinstance(r, int) or r < 1:
                 raise ValueError(f"robustness targets must be positive integers, got {r!r}")
-            if 2 * r > max_n:
+            if 2 * r > MAX_EXACT_N:
                 raise ValueError(
-                    f"r={r} needs certification at n={2 * r}, beyond the capability limit {max_n}"
+                    f"r={r} needs certification at n={2 * r}, "
+                    f"beyond the capability limit {MAX_EXACT_N}"
                 )
         if not isinstance(self.samples_per_p, int) or self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be a positive integer, got {self.samples_per_p!r}")
@@ -125,16 +125,14 @@ class SummaryRow:
         return self.accepted < self.requested
 
 
-def run_experiment(
-    config: ExperimentConfig, max_n: int = DEFAULT_MAX_N
-) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
+def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
     """Run the sweep; returns (per-attempt records, per-(r, n) summary rows).
 
     Output ordering is canonical: ascending (r, n, p, attempt), independent
     of how the config lists its values.  Attempt budgets that run out leave
     a shortfall flag on the summary row rather than looping forever.
     """
-    config.validate(max_n)
+    config.validate()
     records: list[ExperimentRecord] = []
     summary: list[SummaryRow] = []
     offsets = [o for o in NODE_OFFSET_CHOICES if o in config.node_offsets]

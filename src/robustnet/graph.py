@@ -13,7 +13,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
+
+# Loaders refuse larger declared vertex counts before sizing anything by
+# them; 2^14 agents over a 500-step simulation is a trace of about 66 MB.
+MAX_VERTICES = 1 << 14
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -180,16 +184,16 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_vertex_count(n, max_n) -> None:
-    """Reject a declared vertex count above max_n before anything is sized by it."""
-    if max_n is not None and isinstance(n, int) and n > max_n:
-        raise ValueError(f"graph declares {n} nodes, above the limit of {max_n}")
+def _check_vertex_count(n) -> None:
+    """Reject a declared vertex count above MAX_VERTICES before anything is sized by it."""
+    if isinstance(n, int) and n > MAX_VERTICES:
+        raise ValueError(f"graph declares {n} nodes, above the limit of {MAX_VERTICES}")
 
 
-def parse_edge_list(text: str, max_n: Optional[int] = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, blank lines are skipped.
 
-    A header vertex count above max_n (when given) is rejected at once.
+    A header vertex count above MAX_VERTICES is rejected at once.
     """
     n = None
     edges = []
@@ -206,7 +210,7 @@ def parse_edge_list(text: str, max_n: Optional[int] = None) -> Graph:
             if len(values) != 1:
                 raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
             n = values[0]
-            _check_vertex_count(n, max_n)
+            _check_vertex_count(n)
         elif len(values) == 2:
             edges.append((values[0], values[1]))
         else:
@@ -220,13 +224,13 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
-def graph_from_json_dict(data: dict, max_n: Optional[int] = None) -> Graph:
+def graph_from_json_dict(data: dict) -> Graph:
     try:
         n = data["n"]
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'") from exc
-    _check_vertex_count(n, max_n)
+    _check_vertex_count(n)
     return new_graph(n, [tuple(e) for e in edges])
 
 
@@ -234,17 +238,17 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text(format_edge_list(g))
 
 
-def read_edge_list(path, max_n: Optional[int] = None) -> Graph:
-    return parse_edge_list(Path(path).read_text(), max_n)
+def read_edge_list(path) -> Graph:
+    return parse_edge_list(Path(path).read_text())
 
 
-def load_graph(path, max_n: Optional[int] = None) -> Graph:
+def load_graph(path) -> Graph:
     """Read a graph file in either edge-list or JSON form (sniffed by content).
 
-    Files declaring more than max_n vertices (when given) are rejected
-    before the graph is built.
+    Files declaring more than MAX_VERTICES vertices are rejected before the
+    graph is built.
     """
     text = Path(path).read_text()
     if text.lstrip()[:1] == "{":
-        return graph_from_json_dict(json.loads(text), max_n)
-    return parse_edge_list(text, max_n)
+        return graph_from_json_dict(json.loads(text))
+    return parse_edge_list(text)

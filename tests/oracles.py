@@ -11,6 +11,8 @@ before its subset-table kernel.  They fix which witness pair is reported.
 
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from robustnet import new_graph
 from robustnet.graph import bits
 
@@ -179,6 +181,15 @@ def oracle_max_clique_size(g):
 def random_graph(rng, n, p):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return new_graph(n, edges)
+
+
+@st.composite
+def small_graphs(draw, max_vertices):
+    """Hypothesis strategy: 1..max_vertices vertices, each pair an edge or not."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return new_graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
 def complete_graph(n):

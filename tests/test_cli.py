@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from robustnet import graph_to_json_dict, load_graph, new_graph
+from robustnet import MAX_EXACT_N, MAX_VERTICES, graph_to_json_dict, load_graph, new_graph
 from robustnet.cli import main
 
 
@@ -121,32 +121,45 @@ def test_certify_json_graph(tmp_path, capsys):
     assert cert["r_max"] == 1
 
 
-def test_certify_respects_capability_env(tmp_path, capsys, monkeypatch):
-    graph_file = tmp_path / "big.edges"
-    graph_file.write_text("17\n0 1\n")
-    assert main(["certify", str(graph_file)]) == 2  # default cap is 16
-    assert "16" in capsys.readouterr().err
-    monkeypatch.setenv("ROBUSTNET_MAX_N", "8")
-    small = tmp_path / "g9.edges"
-    small.write_text("9\n0 1\n")
-    assert main(["certify", str(small)]) == 2
-    assert "8" in capsys.readouterr().err
-    monkeypatch.setenv("ROBUSTNET_MAX_N", "17")
-    assert main(["certify", str(graph_file), "--quiet"]) == 0
+def test_certify_respects_capability_limit(tmp_path, capsys):
+    for n in (17, MAX_EXACT_N):
+        graph_file = tmp_path / f"g{n}.edges"
+        graph_file.write_text(f"{n}\n0 1\n")
+        assert main(["certify", str(graph_file), "--quiet"]) == 0
+    too_big = tmp_path / "g21.edges"
+    too_big.write_text(f"{MAX_EXACT_N + 1}\n0 1\n")
+    assert main(["certify", str(too_big)]) == 2
+    assert f"limit of {MAX_EXACT_N}" in capsys.readouterr().err
 
 
-def test_certify_rejects_huge_header_before_building(tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a graph was built for an over-limit header")
-
-    monkeypatch.setattr("robustnet.graph.new_graph", refuse)
-    monkeypatch.delenv("ROBUSTNET_MAX_N", raising=False)
+def _huge_header_files(tmp_path):
     for name, text in (("huge.edges", "10000000000\n"),
                        ("huge.json", '{"n": 10000000000, "edges": []}')):
         path = tmp_path / name
         path.write_text(text)
+        yield path
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for an over-limit header")
+
+    monkeypatch.setattr("robustnet.graph.new_graph", refuse)
+
+
+def test_certify_rejects_huge_header_before_building(tmp_path, capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    for path in _huge_header_files(tmp_path):
         assert main(["certify", str(path)]) == 2
-        assert "limit of 16" in capsys.readouterr().err
+        assert f"limit of {MAX_VERTICES}" in capsys.readouterr().err
+
+
+def test_simulate_rejects_huge_header_before_building(tmp_path, capsys, monkeypatch):
+    threat_file = write_threat(tmp_path / "threat.json")
+    _refuse_to_build(monkeypatch)
+    for path in _huge_header_files(tmp_path):
+        assert main(["simulate", str(path), "--threat", str(threat_file)]) == 2
+        assert f"limit of {MAX_VERTICES}" in capsys.readouterr().err
 
 
 def test_certify_parse_failure(tmp_path, capsys):
@@ -197,6 +210,19 @@ def test_simulate_threat_violation_names_condition(tmp_path, capsys):
     threat_file = write_threat(tmp_path / "threat.json", malicious=(0, 1, 2, 3))
     assert main(["simulate", str(graph_file), "--threat", str(threat_file)]) == 2
     assert "F-local violated" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3",
+          "--output", str(graph_file), "--quiet"])
+    threat_file = write_threat(tmp_path / "threat.json", f=1, malicious=(0,), value=float("nan"))
+    assert "NaN" in threat_file.read_text()
+    prefix = tmp_path / "nan"
+    assert main(["simulate", str(graph_file), "--threat", str(threat_file),
+                 "--out-prefix", str(prefix)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "nan.verdict.json").exists()
 
 
 def test_experiment_cli(tmp_path, capsys):

@@ -76,6 +76,15 @@ def test_behavior_from_spec():
         behavior_from_spec({"kind": "chaos"})
     with pytest.raises(ValueError):
         behavior_from_spec("constant")
+    for bad in (math.nan, math.inf, -math.inf, "150", None, True):
+        with pytest.raises(ValueError, match="finite number"):
+            behavior_from_spec({"kind": "constant", "value": bad})
+    with pytest.raises(ValueError, match="'slope'"):
+        behavior_from_spec({"kind": "ramp", "slope": math.inf})
+    with pytest.raises(ValueError, match="'amplitude'"):
+        behavior_from_spec({"kind": "sinusoid", "amplitude": math.nan})
+    with pytest.raises(ValueError, match="'step'"):
+        behavior_from_spec({"kind": "random-walk", "step": -math.inf})
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +134,8 @@ def test_wmsr_step_drops_all_strictly_greater_when_fewer_than_f():
     assert out[0] == pytest.approx(5.0)
     with pytest.raises(ValueError):
         wmsr_step(star, [0.0, 0.0, 0.0], -1, {0})
+    with pytest.raises(ValueError, match="non-negative integer"):
+        wmsr_step(star, [0.0, 0.0, 0.0], True, {0})
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +156,8 @@ def test_threat_validation():
         constant_threat("F-total", 9, {12: 1.0}).validate(g)
     with pytest.raises(ValueError, match="scope"):
         constant_threat("F-global", 1, {0: 1.0}).validate(g)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        constant_threat("F-local", True, {0: 50.0}).validate(g)
 
 
 def test_threat_from_json():
@@ -227,6 +240,15 @@ def test_simulate_rejects_bad_input():
     all_bad = constant_threat("F-total", 3, {0: 1.0, 1: 1.0, 2: 1.0})
     with pytest.raises(ValueError, match="normal agent"):
         simulate(g, all_bad, [0.0, 1.0, 2.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            simulate(g, no_threat(), [0.0, bad, 2.0])
+    # finite at t = 0 and 1, infinite from t = 2 on
+    overflow = ThreatModel("F-total", 1, frozenset({0}), {0: linear_ramp(0.0, 1e308)})
+    with pytest.raises(ValueError, match="non-finite value inf at t=2"):
+        simulate(g, overflow, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="vertex 0 gave non-finite value nan"):
+        simulate(g, constant_threat("F-total", 1, {0: math.nan}), [0.0, 1.0, 2.0])
 
 
 def test_containment_in_previous_step_hull():

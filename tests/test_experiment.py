@@ -26,9 +26,9 @@ def test_config_validation():
         ExperimentConfig(r_values=()).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(r_values=(0,)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(r_values=(9,)).validate()  # 2r = 18 > default cap 16
-    ExperimentConfig(r_values=(9,)).validate(max_n=18)
+    ExperimentConfig(r_values=(10,)).validate()  # 2r = 20 = MAX_EXACT_N
+    with pytest.raises(ValueError, match="capability limit 20"):
+        ExperimentConfig(r_values=(11,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(p_values=(0.0,)).validate()
     with pytest.raises(ValueError):

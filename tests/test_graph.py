@@ -3,8 +3,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from robustnet import (
+    MAX_VERTICES,
     densest_subset_of_size,
     format_edge_list,
     graph_from_json_dict,
@@ -27,6 +29,7 @@ from oracles import (
     oracle_max_clique_size,
     path_graph,
     random_graph,
+    small_graphs,
 )
 
 
@@ -124,6 +127,18 @@ def test_max_clique_matches_exhaustive_scan():
         assert not has_clique_of_size(g, size + 1)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(12))
+def test_max_clique_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    clique = max_clique(g)
+    assert len(clique) == max(len(c) for c in nx.find_cliques(G))
+    assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
+
+
 def test_max_clique_lexicographic_tie_break():
     # two disjoint triangles; {0, 1, 2} wins the tie
     g = new_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -203,22 +218,25 @@ def test_json_round_trip():
         graph_from_json_dict({"edges": []})
 
 
-def test_loaders_reject_vertex_counts_above_max_n(tmp_path):
-    assert parse_edge_list("3\n0 1\n", max_n=3).n == 3
-    with pytest.raises(ValueError, match="limit of 3"):
-        parse_edge_list("4\n0 1\n", max_n=3)
-    with pytest.raises(ValueError, match="limit of 3"):
-        graph_from_json_dict({"n": 4, "edges": []}, max_n=3)
-    edge_file = tmp_path / "g.edges"
-    edge_file.write_text("4\n")
-    json_file = tmp_path / "g.json"
-    json_file.write_text('{"n": 4, "edges": []}')
-    for path in (edge_file, json_file):
-        assert load_graph(path).n == 4
-        with pytest.raises(ValueError, match="limit of 3"):
-            load_graph(path, max_n=3)
-    with pytest.raises(ValueError, match="limit of 3"):
-        read_edge_list(edge_file, max_n=3)
+def test_loaders_reject_vertex_counts_above_max_vertices(tmp_path):
+    for n in (MAX_VERTICES, MAX_VERTICES + 1):
+        edge_file = tmp_path / f"g{n}.edges"
+        edge_file.write_text(f"{n}\n0 1\n")
+        json_file = tmp_path / f"g{n}.json"
+        json_file.write_text(json.dumps({"n": n, "edges": []}))
+        loads = (
+            lambda: parse_edge_list(edge_file.read_text()),
+            lambda: graph_from_json_dict(json.loads(json_file.read_text())),
+            lambda: read_edge_list(edge_file),
+            lambda: load_graph(edge_file),
+            lambda: load_graph(json_file),
+        )
+        for load in loads:
+            if n == MAX_VERTICES:
+                assert load().n == n
+            else:
+                with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+                    load()
 
 
 def test_load_graph_sniffs_format(tmp_path):

@@ -1,9 +1,8 @@
 import random
 import tracemalloc
-from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from robustnet import (
     check_structural_lemmas,
@@ -27,6 +26,7 @@ from oracles import (
     random_graph,
     scan_is_r_robust,
     scan_max_robustness,
+    small_graphs,
     subset_reachability,
 )
 
@@ -194,16 +194,8 @@ def test_certificates_match_scan_reference_on_extremal_graphs():
                 _assert_matches_scan(g.with_edge_removed(u, v))
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 9))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return new_graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(small_graphs())
+@given(small_graphs(9))
 def test_certificates_match_scan_reference_property(g):
     _assert_matches_scan(g)
 
