@@ -127,10 +127,11 @@ class ThreatModel:
                 f"F-total violated: {len(self.malicious)} malicious agents exceed F={self.f}"
             )
         if self.scope == F_LOCAL:
+            malicious_mask = g.subset_mask(self.malicious)
             for i in range(g.n):
                 if i in self.malicious:
                     continue
-                count = len(g.neighbors(i) & self.malicious)
+                count = (g.rows[i] & malicious_mask).bit_count()
                 if count > self.f:
                     raise ValueError(
                         f"F-local violated: vertex {i} has {count} malicious neighbors, "
@@ -207,28 +208,93 @@ def wmsr_step(g: Graph, states, f: int, normal) -> np.ndarray:
     Each updating agent discards up to f neighbor values strictly greater
     than its own (largest first) and up to f strictly smaller (smallest
     first), then averages the survivors together with its own value.
-    Values equal to its own always survive, and since removal acts on
-    values, which of several tied extremes is dropped cannot affect the
-    average.  f = 0 is plain uniform-weight averaging (:func:`nominal_step`).
+    Values equal to its own always survive.  Among tied extremes the one
+    of lowest vertex index is dropped first, and the survivors are summed
+    left to right in vertex order, which fixes every bit of the result.
+    f = 0 is plain uniform-weight averaging (:func:`nominal_step`).
     """
     if isinstance(f, bool) or not isinstance(f, int) or f < 0:
         raise ValueError(f"trim parameter F must be a non-negative integer, got {f!r}")
     x = _as_state_vector(g, states)
-    updating = sorted(set(normal))
-    g.subset_mask(updating)  # range-validates the update set
-    neighbor_lists = [list(bits(row)) for row in g.rows]
+    updating = list(bits(g.subset_mask(normal)))  # range-validates the update set
+    return _wmsr_update(x, _neighbor_table(g, updating), f)
+
+
+# Updating vertices are handled this many at a time, so the update's
+# temporaries stay O(max degree * _BLOCK) whatever n is.
+_BLOCK = 128
+
+NeighborTable = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _neighbor_table(g: Graph, updating) -> NeighborTable:
+    """Padded neighbor indices of the updating vertices, in blocks.
+
+    Each block is (vertices, idx, valid): up to _BLOCK updating vertices,
+    an intp table whose row r lists the neighbors of vertices[r] in
+    ascending order and is padded with vertices[r] itself, and a mask that
+    is False on the padding.  Vertices are blocked in order of decreasing
+    degree and each block is as wide as its largest degree, so the tables
+    take O(edges + max degree * _BLOCK) memory even on a star.
+    """
+    rows = g.rows
+    verts = np.asarray(updating, dtype=np.intp)
+    degrees = np.array([rows[i].bit_count() for i in updating], dtype=np.intp)
+    order = np.argsort(-degrees, kind="stable")
+    nbytes = (g.n + 7) // 8
+    table = []
+    for start in range(0, len(order), _BLOCK):
+        pick = order[start:start + _BLOCK]
+        block = verts[pick]
+        packed = b"".join(rows[i].to_bytes(nbytes, "little") for i in block.tolist())
+        adjacency = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(len(block), nbytes),
+            axis=1, bitorder="little",
+        )
+        row, nbr = np.nonzero(adjacency)  # row-major, so neighbors ascend per row
+        deg = degrees[pick]
+        pos = np.arange(len(nbr)) - np.repeat(np.cumsum(deg) - deg, deg)
+        idx = np.repeat(block[:, None], deg[0], axis=1)
+        valid = np.zeros(idx.shape, dtype=bool)
+        idx[row, pos] = nbr
+        valid[row, pos] = True
+        table.append((block, idx, valid))
+    return table
+
+
+def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int) -> np.ndarray:
+    """W-MSR update of the vertices in table; every other entry of x is copied.
+
+    Each agent's values are keyed twice, as they are for the side above
+    its own value and negated for the side below, and f passes replace
+    the largest key of every row with -inf.  A pass only takes a value
+    beyond the agent's own while one is left on that side, and argmax
+    takes the first of equal keys, the lowest neighbor, as list.remove
+    would.  (A NaN may use up a pass, but it is always kept, so the
+    result is NaN either way.)  The survivors are then added left to
+    right from +0.0, everything else contributing -0.0 (the exact
+    additive identity), so each sum equals Python's sum over the
+    survivors bit for bit; np.sum would add pairwise and change the last
+    bits.
+    """
     out = x.copy()
-    for i in updating:
-        own = x[i]
-        vals = [x[j] for j in neighbor_lists[i]]
-        above = sorted((v for v in vals if v > own), reverse=True)
-        below = sorted(v for v in vals if v < own)
-        kept = list(vals)
-        for v in above[:f]:
-            kept.remove(v)
-        for v in below[:f]:
-            kept.remove(v)
-        out[i] = (own + sum(kept)) / (len(kept) + 1)
+    for block, idx, valid in table:
+        k = len(block)
+        own = x[block][:, None]
+        v = x[idx]  # padding holds own, which is neither above nor below it
+        above = v > own
+        below = v < own
+        key = np.concatenate((v, -v))
+        rows = np.arange(2 * k)
+        for _ in range(min(f, idx.shape[1])):
+            key[rows, key.argmax(axis=1)] = -np.inf
+        taken = key == -np.inf
+        kept = valid & ~((above & taken[:k]) | (below & taken[k:]))
+        terms = np.full((k, idx.shape[1] + 1), -0.0)
+        terms[:, 0] = 0.0
+        np.copyto(terms[:, 1:], v, where=kept)
+        np.add.accumulate(terms, axis=1, out=terms)
+        out[block] = (own[:, 0] + terms[:, -1]) / (kept.sum(axis=1) + 1)
     return out
 
 
@@ -247,8 +313,9 @@ def simulate(
     the previous row.  The run stops at the first step where the spread of
     normal states drops below tol, recorded as converged_at, or after
     max_steps updates.  The safety interval is the closed hull of the
-    normal agents' initial states.  A non-finite initial state or trajectory
-    value raises ValueError.
+    normal agents' initial states.  A non-finite initial state, trajectory
+    value or updated normal state (a sum of huge states can overflow)
+    raises ValueError.
     """
     if not isinstance(max_steps, int) or max_steps < 1:
         raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
@@ -262,6 +329,7 @@ def simulate(
     if not normal:
         raise ValueError("at least one normal agent is required")
     idx = sorted(normal)
+    table = _neighbor_table(g, idx)
     rows = [x0.copy()]
     lo = float(min(x0[i] for i in idx))
     hi = float(max(x0[i] for i in idx))
@@ -269,7 +337,7 @@ def simulate(
     t = 0
     while converged_at is None and t < max_steps:
         t += 1
-        nxt = wmsr_step(g, rows[-1], threat.f, normal)
+        nxt = _wmsr_update(rows[-1], table, threat.f)
         for m in threat.malicious:
             value = float(threat.behaviors[m](t))
             if not math.isfinite(value):
@@ -277,6 +345,8 @@ def simulate(
             nxt[m] = value
         rows.append(nxt)
         ns = nxt[idx]
+        if not np.isfinite(ns).all():
+            raise ValueError(f"W-MSR update gave a non-finite normal state at t={t}")
         if float(ns.max() - ns.min()) < tol:
             converged_at = t
     states = np.vstack(rows)
@@ -320,7 +390,7 @@ def trace_to_csv_text(trace: SimulationTrace) -> str:
     n = trace.states.shape[1]
     lines = ["t," + ",".join(f"agent_{i}" for i in range(n))]
     for t, row in enumerate(trace.states):
-        lines.append(str(t) + "," + ",".join(repr(float(v)) for v in row))
+        lines.append(str(t) + "," + ",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

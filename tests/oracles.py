@@ -7,10 +7,14 @@ Deliberately slow and obviously correct.
 The scan_* functions are the canonical-order reference for certificates:
 the pruned level scan with a binary search over r that the certifier used
 before its subset-table kernel.  They fix which witness pair is reported.
+
+loop_wmsr_step is the per-agent Python W-MSR update that preceded the
+vectorised one; it fixes every bit of an update's result.
 """
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from robustnet import new_graph
@@ -148,6 +152,30 @@ def scan_max_robustness(g):
     robust_above, masks = outcomes[r_max + 1]
     assert not robust_above
     return r_max, _witness(masks)
+
+
+def loop_wmsr_step(g, states, f, normal):
+    """W-MSR one agent at a time: sort each side, list.remove the extremes.
+
+    The survivors are added by the builtin sum, left to right in neighbor
+    order: they are numpy scalars, which the compensated summation newer
+    Pythons use for exact floats never applies to.
+    """
+    x = np.asarray(states, dtype=float)
+    neighbor_lists = [list(bits(row)) for row in g.rows]
+    out = x.copy()
+    for i in sorted(set(normal)):
+        own = x[i]
+        vals = [x[j] for j in neighbor_lists[i]]
+        above = sorted((v for v in vals if v > own), reverse=True)
+        below = sorted(v for v in vals if v < own)
+        kept = list(vals)
+        for v in above[:f]:
+            kept.remove(v)
+        for v in below[:f]:
+            kept.remove(v)
+        out[i] = (own + sum(kept)) / (len(kept) + 1)
+    return out
 
 
 def oracle_densest_subset(g, k):

@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustnet import (
     SimulationTrace,
@@ -10,6 +13,7 @@ from robustnet import (
     behavior_from_spec,
     check_validity,
     constant,
+    erdos_renyi,
     linear_ramp,
     new_graph,
     nominal_step,
@@ -23,7 +27,14 @@ from robustnet import (
     write_trace,
 )
 
-from oracles import complete_graph, cycle_graph, path_graph, random_graph
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    loop_wmsr_step,
+    path_graph,
+    random_graph,
+    small_graphs,
+)
 
 
 def no_threat(f=0):
@@ -119,6 +130,83 @@ def test_wmsr_step_f0_equals_nominal():
         assert np.allclose(
             wmsr_step(g, states, 0, range(g.n)), nominal_step(g, states)
         )
+
+
+def _reprs(states):
+    return [repr(v) for v in np.asarray(states).tolist()]
+
+
+# A small pool makes ties frequent, so both which tied extreme is dropped
+# and the order of the survivors' sum show in the last bits and zero signs.
+TIE_POOL = (0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 0.1, 0.2, 1e300, -1e300)
+
+
+def _pool_states(rng, n):
+    return [rng.choice(TIE_POOL) if rng.random() < 0.7 else rng.uniform(-5, 5) for _ in range(n)]
+
+
+def test_wmsr_step_matches_loop_oracle_bit_for_bit():
+    rng = random.Random(404)
+    for _ in range(2000):
+        n = rng.randint(1, 18)
+        g = random_graph(rng, n, rng.random())
+        states = _pool_states(rng, n)
+        f = rng.randint(0, 5)
+        normal = [i for i in range(n) if rng.random() < 0.7]
+        assert _reprs(wmsr_step(g, states, f, normal)) == _reprs(loop_wmsr_step(g, states, f, normal))
+
+
+def test_wmsr_step_matches_loop_oracle_at_the_edges():
+    single = new_graph(1)
+    for state in (-0.0, 0.0, 5.0):
+        for f in (0, 1):
+            for normal in ((), (0,)):
+                assert (_reprs(wmsr_step(single, [state], f, normal))
+                        == _reprs(loop_wmsr_step(single, [state], f, normal)))
+    rng = random.Random(405)
+    g = random_graph(rng, 9, 0.5)
+    states = _pool_states(rng, 9)
+    assert _reprs(wmsr_step(g, states, 2, [])) == _reprs(states)
+    sparse = erdos_renyi(1000, 0.01, 406)
+    states = _pool_states(rng, 1000)
+    normal = [i for i in range(1000) if rng.random() < 0.9]
+    for f in (0, 2):
+        assert _reprs(wmsr_step(sparse, states, f, normal)) == _reprs(loop_wmsr_step(sparse, states, f, normal))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wmsr_step_matches_loop_oracle_on_non_finite_states():
+    # simulate refuses these, but a direct call still follows the loop:
+    # NaN is neither above nor below and always kept, infinities are trimmed
+    pool = (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 0.0, -0.0, 1.0)
+    rng = random.Random(407)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        states = [rng.choice(pool) for _ in range(n)]
+        f = rng.randint(0, 3)
+        assert _reprs(wmsr_step(g, states, f, range(n))) == _reprs(loop_wmsr_step(g, states, f, range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_wmsr_step_stays_in_normal_hull_under_f_local(data):
+    # with at most F malicious neighbors, every value W-MSR keeps is bounded
+    # by the agent's own value and its normal neighbors' values
+    g = data.draw(small_graphs(10))
+    malicious = frozenset(data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1)))
+    normal = [i for i in range(g.n) if i not in malicious]
+    f = max(len(g.neighbors(i) & malicious) for i in normal) + data.draw(st.integers(0, 1))
+    states = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.n, max_size=g.n))
+    for m in malicious:
+        states[m] = data.draw(st.floats(-1e12, 1e12))
+    ThreatModel("F-local", f, malicious, {m: constant(states[m]) for m in malicious}).validate(g)
+    out = wmsr_step(g, states, f, normal)
+    for i in normal:
+        hull = [states[i]] + [states[j] for j in g.neighbors(i) if j not in malicious]
+        lo, hi = min(hull), max(hull)
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        assert lo - slack <= out[i] <= hi + slack
 
 
 def test_wmsr_step_ties_are_retained():
@@ -251,6 +339,27 @@ def test_simulate_rejects_bad_input():
         simulate(g, constant_threat("F-total", 1, {0: math.nan}), [0.0, 1.0, 2.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_simulate_rejects_update_overflow():
+    # every state is finite, but the sum of the neighbors' values is not
+    with pytest.raises(ValueError, match="non-finite normal state at t=1"):
+        simulate(complete_graph(4), no_threat(), [1.7e308, 1.7e308, 1.6e308, 1.7e308])
+
+
+def test_simulate_memory_is_linear_in_edges():
+    n = 8192
+    ring = new_graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    initial = [float(i % 7) for i in range(n)]
+    tracemalloc.start()
+    try:
+        trace = simulate(ring, no_threat(1), initial, max_steps=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.states.shape == (11, n)
+    assert peak < 8 << 20  # an n x n bool array alone would take 64 MiB
+
+
 def test_containment_in_previous_step_hull():
     # regardless of robustness, a normal update is a convex combination of
     # values visible at the previous step
@@ -367,6 +476,24 @@ def test_trace_export(tmp_path):
     csv_path, json_path = write_trace(trace, tmp_path / "run")
     assert csv_path.read_text() == text
     assert json_path.exists()
+
+
+def test_trace_csv_is_repr_of_every_float():
+    states = np.array([[0.0, -0.0, 1e-300], [2.0, -3.0, 0.1 + 0.2], [1e300, 5e-324, -7.0]])
+    trace = SimulationTrace(
+        states=states,
+        normal=frozenset({0, 1, 2}),
+        malicious=frozenset(),
+        converged_at=None,
+        consensus_value=None,
+        safety_interval=(-3.0, 1e300),
+    )
+    expected = "t,agent_0,agent_1,agent_2\n" + "".join(
+        str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n"
+        for t, row in enumerate(states)
+    )
+    assert trace_to_csv_text(trace) == expected
+    assert expected.split("\n")[1:3] == ["0,0.0,-0.0,1e-300", "1,2.0,-3.0,0.30000000000000004"]
 
 
 def test_sinusoid_behavior_in_simulation():
