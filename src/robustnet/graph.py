@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # Loaders refuse larger declared vertex counts before sizing anything by
 # them; 2^14 agents over a 500-step simulation is a trace of about 66 MB.
 MAX_VERTICES = 1 << 14
+
+# The only limit of the exact searches over all 2^n vertex subsets (the
+# certifier and densest_subset_of_size): 2^20 subsets at about 6 B each,
+# roughly 6 MB.
+MAX_EXACT_N = 20
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -151,26 +157,47 @@ def induced_edge_count(g: Graph, members: Iterable[int]) -> int:
     return sum((g.rows[i] & mask).bit_count() for i in bits(mask)) // 2
 
 
-def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
-    """Exhaustively maximize the induced edge count over all k-subsets.
+def check_exact_n(n: int, what: str) -> None:
+    """Refuse n above MAX_EXACT_N before any 2^n table is built."""
+    if n > MAX_EXACT_N:
+        raise ValueError(
+            f"{what} builds tables over all 2^n vertex subsets "
+            f"(about 6 bytes each); n={n} exceeds the supported limit of {MAX_EXACT_N}"
+        )
 
-    Returns the maximizer and its edge count.  Subsets are generated in
-    lexicographic order and only strict improvements replace the incumbent,
-    so ties break to the lexicographically smallest subset.
+
+def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
+    """Exactly maximize the induced edge count over all k-subsets.
+
+    Returns the maximizer and its edge count; ties break to the
+    lexicographically smallest subset.  edges[m] is the induced edge count
+    of every vertex mask m, with vertex v at bit n-1-v, built by doubling:
+    the masks with top bit j are those below it plus bit j's edges into
+    their lower bits.  A larger mask then means a lexicographically smaller
+    set of the same size, so the answer is the last k-member mask attaining
+    the maximum.  Limited to n <= MAX_EXACT_N.
     """
-    if not isinstance(k, int) or not 1 <= k <= g.n:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= g.n:
         raise ValueError(f"subset size {k!r} out of range for n={g.n}")
-    rows = g.rows
-    best_set: tuple[int, ...] = ()
-    best_count = -1
-    for combo in combinations(range(g.n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        count = sum((rows[v] & mask).bit_count() for v in combo) // 2
-        if count > best_count:
-            best_set, best_count = combo, count
-    return frozenset(best_set), best_count
+    n = g.n
+    check_exact_n(n, "densest_subset_of_size")
+    size = 1 << n
+    edges = np.zeros(size, dtype=np.uint8)  # at most C(20, 2) = 190
+    members = np.zeros(size, dtype=np.uint8)  # the size of each mask
+    for j in range(n):
+        v = n - 1 - j
+        # neighbours u > v of vertex v sit at the bits n-1-u below j
+        lower = sum(1 << (n - 1 - u) for u in bits(g.rows[v] >> (v + 1) << (v + 1)))
+        half = 1 << j
+        below = np.arange(half, dtype=np.uint32)
+        below &= lower
+        np.add(edges[:half], np.bitwise_count(below), out=edges[half:2 * half])
+        np.add(members[:half], 1, out=members[half:2 * half])
+    # score is count + 1 on the k-subsets and 0 elsewhere
+    np.add(edges, 1, out=edges)
+    np.multiply(edges, members == k, out=edges)
+    last = size - 1 - int(np.argmax(edges[::-1]))
+    return frozenset(n - 1 - b for b in bits(last)), int(edges[last]) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, bits, densest_subset_of_size, max_clique
-
-# The only certification limit: 2^20 subsets at about 6 B each, roughly 6 MB.
-MAX_EXACT_N = 20
+from .graph import MAX_EXACT_N, Graph, bits, check_exact_n, densest_subset_of_size, max_clique
 
 ODD_CASE = "odd-case"
 EVEN_CASE = "even-case"
@@ -115,12 +112,11 @@ def reachability(g: Graph, members) -> int:
     return max((g.rows[v] & ~mask).bit_count() for v in bits(mask))
 
 
-def _check_capability(n: int) -> None:
-    if n > MAX_EXACT_N:
-        raise ValueError(
-            f"exact certification builds tables over all 2^n vertex subsets "
-            f"(about 6 bytes each); n={n} exceeds the supported limit of {MAX_EXACT_N}"
-        )
+def _check_level(r, least: int) -> None:
+    """Refuse a level below least or not an int; a bool is refused, not read as 0 or 1."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"robustness level must be a {kind} integer, got {r!r}")
 
 
 def _min_zeta(table, positions) -> None:
@@ -211,11 +207,10 @@ def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
     which neither side is r-reachable.  r = 0 is vacuously satisfied by any
     graph, as is every level on the single-vertex graph (no pair exists).
     """
-    if not isinstance(r, int) or r < 0:
-        raise ValueError(f"robustness level must be a non-negative integer, got {r!r}")
+    _check_level(r, 0)
     if r == 0:
         return True, None
-    _check_capability(g.n)
+    check_exact_n(g.n, "exact certification")
     # reach never exceeds n - 1, so clamping keeps the int8 comparison exact
     pair = _violating_pair(*_subset_tables(g), min(r - 1, g.n))
     return pair is None, _masks_to_witness(pair)
@@ -232,7 +227,7 @@ def max_robustness(g: Graph) -> RobustnessCertificate:
     if g.n == 1:
         # No disjoint nonempty pair exists; adopt the ceil(n/2) ceiling.
         return RobustnessCertificate(r_max=1, witness=None, pairs_examined=0)
-    _check_capability(g.n)
+    check_exact_n(g.n, "exact certification")
     reach, best, pair = _subset_tables(g)
     r_max = int(pair.min())
     return RobustnessCertificate(
@@ -249,9 +244,8 @@ def edge_lower_bound(n: int, r: int) -> BoundReport:
     fall back to the general 3r(r-1)/2 bound, which is valid for every
     r-robust graph regardless of size but is not claimed tight there.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"robustness level must be a positive integer, got {r!r}")
-    if not isinstance(n, int) or n < 2 * r - 1:
+    _check_level(r, 1)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2 * r - 1:
         raise ValueError(f"no {r}-robust graph on {n!r} nodes exists (need n >= 2r-1 = {2 * r - 1})")
     if n == 2 * r - 1:
         return BoundReport(n=n, r=r, bound=3 * r * (r - 1) // 2, kind=ODD_CASE)
@@ -269,8 +263,7 @@ def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:
     expected to pass a graph already certified r-robust; the checks here are
     unconditional searches reported with witnesses.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"robustness level must be a positive integer, got {r!r}")
+    _check_level(r, 1)
     if g.n == 2 * r - 1:
         clique = max_clique(g)
         checks = (LemmaCheck("clique", r + 1, len(clique), clique),)

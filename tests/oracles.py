@@ -10,6 +10,9 @@ before its subset-table kernel.  They fix which witness pair is reported.
 
 loop_wmsr_step is the per-agent Python W-MSR update that preceded the
 vectorised one; it fixes every bit of an update's result.
+
+loop_densest_subset is the loop over all k-combinations that preceded the
+induced-edge table; it fixes which maximizer is reported.
 """
 
 from itertools import combinations
@@ -176,6 +179,28 @@ def loop_wmsr_step(g, states, f, normal):
             kept.remove(v)
         out[i] = (own + sum(kept)) / (len(kept) + 1)
     return out
+
+
+def loop_densest_subset(g, k):
+    """Exhaustively maximize the induced edge count over all k-subsets.
+
+    Returns the maximizer and its edge count.  Subsets are generated in
+    lexicographic order and only strict improvements replace the incumbent,
+    so ties break to the lexicographically smallest subset.
+    """
+    if not isinstance(k, int) or not 1 <= k <= g.n:
+        raise ValueError(f"subset size {k!r} out of range for n={g.n}")
+    rows = g.rows
+    best_set: tuple[int, ...] = ()
+    best_count = -1
+    for combo in combinations(range(g.n), k):
+        mask = 0
+        for v in combo:
+            mask |= 1 << v
+        count = sum((rows[v] & mask).bit_count() for v in combo) // 2
+        if count > best_count:
+            best_set, best_count = combo, count
+    return frozenset(best_set), best_count
 
 
 def oracle_densest_subset(g, k):

@@ -1,11 +1,13 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from robustnet import (
+    MAX_EXACT_N,
     MAX_VERTICES,
     densest_subset_of_size,
     format_edge_list,
@@ -25,6 +27,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     has_clique_of_size,
+    loop_densest_subset,
     oracle_densest_subset,
     oracle_max_clique_size,
     path_graph,
@@ -183,6 +186,78 @@ def test_densest_subset_matches_oracle():
         oracle_set, oracle_count = oracle_densest_subset(g, k)
         assert count == oracle_count
         assert subset == oracle_set  # both use lexicographic first-maximizer
+
+
+def _assert_densest_matches_loop(g):
+    for k in range(1, g.n + 1):
+        assert densest_subset_of_size(g, k) == loop_densest_subset(g, k)
+
+
+def test_densest_subset_matches_loop_on_seeded_graphs():
+    # the loop costs C(n, k) per call, so the n = 12..14 end gets fewer graphs
+    rng = random.Random(5021)
+    for i in range(1950):
+        _assert_densest_matches_loop(random_graph(rng, 1 + i % 11, rng.random()))
+    for i in range(51):
+        _assert_densest_matches_loop(random_graph(rng, 12 + i % 3, rng.random()))
+
+
+def test_densest_subset_matches_loop_when_subsets_tie():
+    for n in range(1, 13):
+        star = new_graph(n, [(0, v) for v in range(1, n)])
+        for g in (complete_graph(n), new_graph(n), star):
+            _assert_densest_matches_loop(g)
+        if n >= 3:
+            _assert_densest_matches_loop(cycle_graph(n))
+    assert densest_subset_of_size(new_graph(6), 3) == ({0, 1, 2}, 0)
+    assert densest_subset_of_size(cycle_graph(6), 3) == ({0, 1, 2}, 2)
+
+
+def test_densest_subset_matches_loop_on_sparsest_even():
+    for r in range(1, 9):
+        g = sparsest_even(r)
+        assert densest_subset_of_size(g, r + 1) == loop_densest_subset(g, r + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(10))
+def test_densest_subset_matches_loop_property(g):
+    _assert_densest_matches_loop(g)
+
+
+def test_densest_subset_rejects_bool_size():
+    with pytest.raises(ValueError):
+        densest_subset_of_size(path_graph(3), True)
+
+
+def _traced_memory(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_densest_subset_memory_at_the_limit():
+    g = random_graph(random.Random(20), MAX_EXACT_N, 0.5)
+    found = []
+    current, peak = _traced_memory(lambda: found.append(densest_subset_of_size(g, 11)))
+    assert peak <= 8 << 20  # 8 bytes per subset; two uint8 tables are 2 MiB
+    assert current < 1 << 16  # no 2^n table outlives the call
+    subset, count = found[0]
+    assert len(subset) == 11 and count == induced_edge_count(g, subset)
+
+
+def test_densest_subset_refuses_n_above_limit_before_building():
+    big = new_graph(MAX_EXACT_N + 1)
+
+    def refuse():
+        with pytest.raises(ValueError, match=f"limit of {MAX_EXACT_N}"):
+            densest_subset_of_size(big, 2)
+
+    # one uint8 table over 2^21 masks would be 2 MiB
+    assert _traced_memory(refuse)[1] < 1 << 16
 
 
 def test_edge_list_round_trip():

@@ -20,6 +20,7 @@ from robustnet.robustness import EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, ODD_
 from oracles import (
     complete_graph,
     cycle_graph,
+    loop_densest_subset,
     oracle_is_r_robust,
     oracle_r_max,
     path_graph,
@@ -293,6 +294,35 @@ def test_structural_checks_report_failure():
     # a path on 5 vertices is nowhere near 3-robust; the checks just report it
     report = check_structural_lemmas(path_graph(5), 3)
     assert not report.all_passed
+
+
+def test_structural_checks_match_loop_densest_subset(monkeypatch):
+    def found_and_witness(report):
+        return [(check.name, check.found, check.witness) for check in report.checks]
+
+    for r in range(2, 11):
+        for g in (sparsest_odd(r), sparsest_even(r)):
+            table = found_and_witness(check_structural_lemmas(g, r))
+            with monkeypatch.context() as patch:
+                patch.setattr("robustnet.robustness.densest_subset_of_size", loop_densest_subset)
+                assert found_and_witness(check_structural_lemmas(g, r)) == table
+
+
+def test_is_r_robust_rejects_bool_level():
+    with pytest.raises(ValueError):
+        is_r_robust(path_graph(4), True)
+
+
+def test_edge_lower_bound_rejects_bool_level():
+    with pytest.raises(ValueError):
+        edge_lower_bound(1, True)
+    with pytest.raises(ValueError):
+        edge_lower_bound(True, 1)
+
+
+def test_structural_checks_reject_bool_level():
+    with pytest.raises(ValueError):
+        check_structural_lemmas(complete_graph(2), True)
 
 
 def test_structural_checks_wrong_n():
