@@ -9,6 +9,7 @@ property-failure exits so a red run still leaves its data behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -191,7 +192,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed where applicable")
     common.add_argument("--output", default=None, help="output file path")
@@ -250,8 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -138,13 +138,18 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     consumes exactly one uniform draw from random.Random(seed), so identical
     (n, p, seed) triples reproduce identical edge lists byte for byte.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return new_graph(n, edges)
+    draw = random.Random(seed).random
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:

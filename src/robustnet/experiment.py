@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
-from .robustness import MAX_EXACT_N, edge_lower_bound, max_robustness
+from .robustness import MAX_EXACT_N, edge_lower_bound, robustness_levels
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
 DEFAULT_P_VALUES = (0.7, 0.75, 0.8, 0.85, 0.9)
@@ -125,12 +125,34 @@ class SummaryRow:
         return self.accepted < self.requested
 
 
+def _certified_draws(config: ExperimentConfig, r: int, n: int, p: float):
+    """(seed, graph, r_max) for the attempts of one (r, n, p) cell, in order.
+
+    The draws are certified in chunks by one robustness_levels call each:
+    first samples_per_p attempts, then twice the previous chunk, each capped
+    by the attempts left and by B * 2^n <= 2^MAX_EXACT_N table entries, so
+    a chunk takes no more memory than one certification at the limit.
+    """
+    attempt = 0
+    chunk = config.samples_per_p
+    while attempt < config.max_attempts:
+        end = attempt + min(chunk, config.max_attempts - attempt, (1 << MAX_EXACT_N) >> n)
+        seeds = [derive_seed(config.master_seed, r, n, p, a) for a in range(attempt, end)]
+        graphs = [erdos_renyi(n, p, seed) for seed in seeds]
+        yield from zip(seeds, graphs, robustness_levels(graphs))
+        attempt = end
+        chunk *= 2
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
     """Run the sweep; returns (per-attempt records, per-(r, n) summary rows).
 
     Output ordering is canonical: ascending (r, n, p, attempt), independent
     of how the config lists its values.  Attempt budgets that run out leave
     a shortfall flag on the summary row rather than looping forever.
+
+    Attempts are certified in chunks (see _certified_draws) but consumed in
+    attempt order, so the output is that of one attempt at a time.
     """
     config.validate()
     records: list[ExperimentRecord] = []
@@ -144,23 +166,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
             min_edges: Optional[int] = None
             for p in sorted(set(config.p_values)):
                 accepted = 0
-                attempt = 0
-                while accepted < config.samples_per_p and attempt < config.max_attempts:
-                    seed = derive_seed(config.master_seed, r, n, p, attempt)
-                    g = erdos_renyi(n, p, seed)
-                    cert = max_robustness(g)
-                    ok = cert.r_max == r
+                for seed, g, r_max in _certified_draws(config, r, n, p):
+                    ok = r_max == r
+                    edge_count = g.edge_count
                     records.append(
                         ExperimentRecord(
                             r=r, n=n, p=p, seed=seed,
-                            edge_count=g.edge_count, r_max=cert.r_max, accepted=ok,
+                            edge_count=edge_count, r_max=r_max, accepted=ok,
                         )
                     )
                     if ok:
                         accepted += 1
-                        if min_edges is None or g.edge_count < min_edges:
-                            min_edges = g.edge_count
-                    attempt += 1
+                        if min_edges is None or edge_count < min_edges:
+                            min_edges = edge_count
+                        if accepted == config.samples_per_p:
+                            break  # the draws certified past this attempt are discarded
                 accepted_total += accepted
             summary.append(
                 SummaryRow(

@@ -90,18 +90,18 @@ class Graph:
         return mask
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.n:
             raise ValueError(f"vertex {v!r} out of range for n={self.n}")
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph from unordered vertex pairs; duplicate pairs collapse."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     rows = [0] * n
     for pair in edges:
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
             raise ValueError(f"edge {pair!r} must be a pair of integers")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")

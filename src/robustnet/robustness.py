@@ -14,7 +14,9 @@ reach in O(n 2^n).  For a fixed S1 the best partner S2 is best[V - S1], so
 
 and the graph is r-robust exactly when no S1 has both values below r.
 Both questions are answered from the same tables; the witness is read
-from them in the canonical order described at _violating_pair.
+from them in the canonical order described at _violating_pair.  The tables
+are built for a stack of graphs on one n at a time, so robustness_levels
+certifies many graphs with one pass of the same kernel.
 """
 
 from __future__ import annotations
@@ -120,19 +122,23 @@ def _check_level(r, least: int) -> None:
 
 
 def _min_zeta(table, positions) -> None:
-    """In place: table[m] becomes the minimum of table over the submasks of m
-    that differ from m only at the given bit positions of the flat index."""
+    """In place: table[..., m] becomes the minimum of table[..., :] over the
+    submasks of m that differ from m only at the given bit positions of the
+    last axis's index."""
+    lead = table.shape[:-1]
     for p in positions:
-        pairs = table.reshape(-1, 2, 1 << p)
-        np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        pairs = table.reshape(*lead, -1, 2, 1 << p)
+        np.minimum(pairs[..., 1, :], pairs[..., 0, :], out=pairs[..., 1, :])
 
 
-def _subset_tables(g: Graph):
-    """reach, best and pair tables over every vertex mask m, as int8 arrays.
+def _subset_tables(rows):
+    """reach, best and pair tables over every vertex mask m, as (B, 2^n) int8
+    arrays, for a (B, n) stack of adjacency rows of B graphs on n vertices.
 
-    reach[m] is the reachability of subset m and best[m] the smallest reach
-    over the nonempty submasks of m; entry 0 of both is _NONE.  pair[m] is
-    max(reach[m], best[~m]), the best pair with S1 = m.
+    reach[b, m] is the reachability of subset m in graph b and best[b, m]
+    the smallest reach over the nonempty submasks of m; entry 0 of both is
+    _NONE.  pair[b, m] is max(reach[b, m], best[b, ~m]), the best pair with
+    S1 = m.
 
     Mask m is split into its low k bits and the rest.  Vertex v's count of
     neighbors outside m is the sum of a term over each part, so each vertex
@@ -142,10 +148,10 @@ def _subset_tables(g: Graph):
     bits run along whole rows; those over the high bits then run in mask
     order, along 2^k or more entries.
     """
-    n = g.n
+    rows = np.array(rows, dtype=np.int32)[:, :, None]
+    graphs, n = rows.shape[:2]
     k = min(n, _LOW_BITS)
     vertex = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
-    rows = np.array(g.rows, dtype=np.int32)[:, None]
     terms = []
     for part in (np.arange(1 << k, dtype=np.int32), np.arange(0, 1 << n, 1 << k, dtype=np.int32)):
         outside = part[::-1]  # the complement of each part, within its bits
@@ -153,18 +159,19 @@ def _subset_tables(g: Graph):
         terms.append((np.bitwise_count(rows & outside)
                       - (np.bitwise_count(vertex & outside) << 5)).view(np.int8))
     low, high = terms
-    step = max(1, _CHUNK >> n)
-    chunks = ((low[s:s + step, :, None] + high[s:s + step, None, :]).max(axis=0)
+    step = max(1, _CHUNK // (graphs << n))
+    chunks = ((low[:, s:s + step, :, None] + high[:, s:s + step, None, :]).max(axis=1)
               for s in range(0, n, step))
     reach = next(chunks)
     for chunk in chunks:
         np.maximum(reach, chunk, out=reach)
-    reach[0, 0] = _NONE
+    reach[:, 0, 0] = _NONE
     best = reach.copy()
-    _min_zeta(best.reshape(-1), range(n - k, n))
-    reach, best = reach.T.ravel(), best.T.ravel()
+    _min_zeta(best.reshape(graphs, -1), range(n - k, n))
+    reach = reach.transpose(0, 2, 1).reshape(graphs, -1)
+    best = best.transpose(0, 2, 1).reshape(graphs, -1)
     _min_zeta(best, range(k, n))
-    return reach, best, np.maximum(reach, best[::-1])
+    return reach, best, np.maximum(reach, best[:, ::-1])
 
 
 def _violating_pair(reach, best, pair, t: int):
@@ -211,9 +218,10 @@ def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
     if r == 0:
         return True, None
     check_exact_n(g.n, "exact certification")
+    reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
     # reach never exceeds n - 1, so clamping keeps the int8 comparison exact
-    pair = _violating_pair(*_subset_tables(g), min(r - 1, g.n))
-    return pair is None, _masks_to_witness(pair)
+    masks = _violating_pair(reach, best, pair, min(r - 1, g.n))
+    return masks is None, _masks_to_witness(masks)
 
 
 def max_robustness(g: Graph) -> RobustnessCertificate:
@@ -228,13 +236,31 @@ def max_robustness(g: Graph) -> RobustnessCertificate:
         # No disjoint nonempty pair exists; adopt the ceil(n/2) ceiling.
         return RobustnessCertificate(r_max=1, witness=None, pairs_examined=0)
     check_exact_n(g.n, "exact certification")
-    reach, best, pair = _subset_tables(g)
+    reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
     r_max = int(pair.min())
     return RobustnessCertificate(
         r_max=r_max,
         witness=_masks_to_witness(_violating_pair(reach, best, pair, r_max)),
         pairs_examined=reach.size - 2,
     )
+
+
+def robustness_levels(graphs) -> list[int]:
+    """r_max of each graph in a sequence of graphs on the same n, no witness.
+
+    Equals [max_robustness(g).r_max for g in graphs], with the same
+    single-vertex convention and capability limit, but certifies the whole
+    stack with one pass of the subset-table kernel.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("robustness_levels needs graphs with one vertex count")
+    if n == 1:
+        return [1] * len(graphs)
+    check_exact_n(n, "exact certification")
+    return _subset_tables([g.rows for g in graphs])[2].min(axis=1).tolist()
 
 
 def edge_lower_bound(n: int, r: int) -> BoundReport:

@@ -1,8 +1,10 @@
 """Naive reference implementations used to cross-check the optimized code.
 
 The oracle_* functions enumerate subsets explicitly through itertools and
-plain Python sets: no bitmasks, no pruning, no memoization, no early exits.
-Deliberately slow and obviously correct.
+plain Python sets: no bitmasks, no pruning, no early exits.  The only
+memoization is one reachability per nonempty subset, kept in a dict keyed
+by frozenset, so each pair costs two lookups.  Deliberately slow and
+obviously correct.
 
 The scan_* functions are the canonical-order reference for certificates:
 the pruned level scan with a binary search over r that the certifier used
@@ -13,14 +15,27 @@ vectorised one; it fixes every bit of an update's result.
 
 loop_densest_subset is the loop over all k-combinations that preceded the
 induced-edge table; it fixes which maximizer is reported.
+
+listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
+sampler and the one-attempt-at-a-time sweep that preceded the row-filling
+sampler and the chunked sweep; they fix every graph and every record.
 """
 
+import random
 from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from robustnet import new_graph
+from robustnet import (
+    ExperimentRecord,
+    SummaryRow,
+    derive_seed,
+    edge_lower_bound,
+    max_robustness,
+    new_graph,
+)
+from robustnet.experiment import NODE_OFFSET_CHOICES
 from robustnet.graph import bits
 
 
@@ -31,34 +46,36 @@ def all_nonempty_subsets(n):
 
 
 def disjoint_pairs(n):
-    """Every unordered pair of disjoint nonempty subsets, exactly once."""
-    subsets = list(all_nonempty_subsets(n))
-    for a in subsets:
-        for b in subsets:
-            if not (a & b) and min(a) < min(b):
-                yield a, b
+    """Every unordered pair of disjoint nonempty subsets, exactly once: S2
+    ranges over the nonempty subsets of the vertices outside S1 above min(S1)."""
+    for a in all_nonempty_subsets(n):
+        rest = [v for v in range(min(a) + 1, n) if v not in a]
+        for k in range(1, len(rest) + 1):
+            for b in combinations(rest, k):
+                yield a, frozenset(b)
 
 
 def subset_reachability(g, s):
     return max(len(g.neighbors(i) - s) for i in s)
 
 
+def subset_reachabilities(g):
+    """Reachability of every nonempty subset, keyed by frozenset."""
+    return {s: subset_reachability(g, s) for s in all_nonempty_subsets(g.n)}
+
+
 def oracle_r_max(g):
     if g.n == 1:
         return 1  # no pair exists; ceiling convention
-    return min(
-        max(subset_reachability(g, a), subset_reachability(g, b))
-        for a, b in disjoint_pairs(g.n)
-    )
+    reach = subset_reachabilities(g)
+    return min(max(reach[a], reach[b]) for a, b in disjoint_pairs(g.n))
 
 
 def oracle_is_r_robust(g, r):
     if r == 0:
         return True
-    return all(
-        max(subset_reachability(g, a), subset_reachability(g, b)) >= r
-        for a, b in disjoint_pairs(g.n)
-    )
+    reach = subset_reachabilities(g)
+    return all(max(reach[a], reach[b]) >= r for a, b in disjoint_pairs(g.n))
 
 
 def _scan_reach(rows, mask):
@@ -179,6 +196,60 @@ def loop_wmsr_step(g, states, f, normal):
             kept.remove(v)
         out[i] = (own + sum(kept)) / (len(kept) + 1)
     return out
+
+
+def listcomp_erdos_renyi(n, p, seed):
+    """erdos_renyi before it filled rows directly: an edge list from one
+    random.Random(seed) draw per pair (i, j), i < j, in lexicographic
+    order, passed to new_graph."""
+    return random_graph(random.Random(seed), n, p)
+
+
+def loop_run_experiment(config):
+    """(records, summary) as run_experiment must return them: each attempt
+    drawn by listcomp_erdos_renyi and certified by max_robustness alone."""
+    config.validate()
+    records = []
+    summary = []
+    offsets = [o for o in NODE_OFFSET_CHOICES if o in config.node_offsets]
+    for r in sorted(set(config.r_values)):
+        for offset in offsets:
+            n = 2 * r - 1 if offset == "2r-1" else 2 * r
+            bound = edge_lower_bound(n, r).bound
+            accepted_total = 0
+            min_edges = None
+            for p in sorted(set(config.p_values)):
+                accepted = 0
+                attempt = 0
+                while accepted < config.samples_per_p and attempt < config.max_attempts:
+                    seed = derive_seed(config.master_seed, r, n, p, attempt)
+                    g = listcomp_erdos_renyi(n, p, seed)
+                    cert = max_robustness(g)
+                    ok = cert.r_max == r
+                    records.append(
+                        ExperimentRecord(
+                            r=r, n=n, p=p, seed=seed,
+                            edge_count=g.edge_count, r_max=cert.r_max, accepted=ok,
+                        )
+                    )
+                    if ok:
+                        accepted += 1
+                        if min_edges is None or g.edge_count < min_edges:
+                            min_edges = g.edge_count
+                    attempt += 1
+                accepted_total += accepted
+            summary.append(
+                SummaryRow(
+                    r=r,
+                    n=n,
+                    min_edges_found=min_edges,
+                    bound=bound,
+                    gap=None if min_edges is None else min_edges - bound,
+                    accepted=accepted_total,
+                    requested=config.samples_per_p * len(set(config.p_values)),
+                )
+            )
+    return records, summary
 
 
 def loop_densest_subset(g, k):

@@ -270,6 +270,25 @@ def test_quiet_suppresses_info(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    out = tmp_path / "first.csv"
+    assert main(["bounds", "--r-min", "1", "--r-max", "1", "--format", "csv",
+                 "--output", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "r,n,bound,kind\n1,1,0,odd-case\n1,2,1,even-case\n"
+    # neither --output nor --quiet carries over: the table goes to stdout
+    assert main(["bounds", "--r-min", "2", "--r-max", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "r,n,bound,kind\n2,3,3,odd-case\n2,4,5,even-case\n"
+    graph = tmp_path / "g.edges"
+    assert main(["construct", "--kind", "sparsest-odd", "--r", "2", "--output", str(graph),
+                 "--quiet"]) == 0
+    assert main(["certify", str(graph), "--output", str(tmp_path / "c.json"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["certify", str(graph)]) == 0
+    assert "r_max=2" in capsys.readouterr().out
+    assert (tmp_path / "g.edges.cert.json").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

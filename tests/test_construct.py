@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from robustnet import (
@@ -14,6 +16,8 @@ from robustnet import (
     tree_graph,
 )
 from robustnet.construct import _hub_edges
+
+from oracles import listcomp_erdos_renyi
 
 
 def test_sparsest_odd_edge_counts():
@@ -116,6 +120,20 @@ def test_erdos_renyi_extremes():
         erdos_renyi(5, 1.5, 1)
     with pytest.raises(ValueError):
         erdos_renyi(0, 0.5, 1)
+
+
+def test_erdos_renyi_matches_edge_list_sampler():
+    rng = random.Random(6151)
+    for i in range(2000):
+        n = rng.randint(1, 16)
+        p = (0.0, 1.0)[i % 2] if i % 10 < 2 else rng.random()
+        seed = rng.getrandbits(64)
+        assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed)
+
+
+def test_erdos_renyi_rejects_bool_vertex_count():
+    with pytest.raises(ValueError):
+        erdos_renyi(True, 0.5, 1)
 
 
 def test_erdos_renyi_determinism():

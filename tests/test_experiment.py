@@ -1,14 +1,24 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
+import robustnet.experiment
 from robustnet import (
+    MAX_EXACT_N,
     ExperimentConfig,
     derive_seed,
     edge_lower_bound,
+    erdos_renyi,
+    max_robustness,
     records_to_csv_text,
+    robustness_levels,
     run_experiment,
     summary_to_csv_text,
 )
 from robustnet.experiment import RECORD_COLUMNS, SUMMARY_COLUMNS
+
+from oracles import loop_run_experiment
 
 
 def test_derive_seed_is_stable():
@@ -99,13 +109,16 @@ def test_run_experiment_is_replayable_byte_for_byte():
     assert records_to_csv_text(records1) != records_to_csv_text(records3)
 
 
-def test_run_experiment_flags_shortfall():
+def _shortfall_config():
     # sparse draws at p=0.1 essentially never form a triangle in 4 attempts
-    config = ExperimentConfig(
+    return ExperimentConfig(
         r_values=(2,), samples_per_p=3, p_values=(0.1,),
         node_offsets=("2r-1",), master_seed=0, max_attempts=4,
     )
-    records, summary = run_experiment(config)
+
+
+def test_run_experiment_flags_shortfall():
+    records, summary = run_experiment(_shortfall_config())
     assert len(records) == 4
     (row,) = summary
     assert row.shortfall
@@ -140,3 +153,71 @@ def test_unsorted_config_values_still_run_in_canonical_order():
     keys = [(rec.r, rec.n, rec.p) for rec in records]
     assert keys == sorted(keys)
     assert [(row.r, row.n) for row in summary] == [(1, 1), (1, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("config", [
+    small_config(),
+    small_config(max_attempts=2),  # fewer attempts than samples_per_p
+    small_config(max_attempts=1),
+    small_config(samples_per_p=1),
+    small_config(samples_per_p=1, max_attempts=1),
+    _shortfall_config(),
+    small_config(r_values=(3, 4), p_values=(0.9, 0.5, 0.75, 0.6), samples_per_p=4, max_attempts=60),
+    ExperimentConfig(r_values=(5, 1, 3), p_values=(0.85, 0.7), node_offsets=("2r", "2r-1"),
+                     samples_per_p=2, master_seed=11, max_attempts=40),
+    ExperimentConfig(r_values=(6,), p_values=(0.7,), node_offsets=("2r-1",),
+                     samples_per_p=10, master_seed=0, max_attempts=300),
+])
+def test_run_experiment_matches_loop_oracle(config):
+    assert run_experiment(config) == loop_run_experiment(config)
+
+
+def test_default_sweep_goldens():
+    records, summary = run_experiment(ExperimentConfig())
+    assert len(records) == 10421
+    assert [(row.r, row.n, row.accepted, row.requested) for row in summary if row.shortfall] \
+        == [(6, 11, 45, 50)]
+    assert hashlib.sha256(records_to_csv_text(records).encode()).hexdigest() \
+        == "972cd2a1f06b859138ad6f530de900748e6c8423e72d73148ad9c1e20c8fcf68"
+    assert hashlib.sha256(summary_to_csv_text(summary).encode()).hexdigest() \
+        == "cd993f8c9920f49ddec7b5ed334d473419fe2e78ccff8c85e48610e3fc4b2b96"
+
+
+def test_chunks_stay_within_one_certification_at_the_limit(monkeypatch):
+    chunks = []
+
+    def spy(graphs):
+        chunks.append((len(graphs), graphs[0].n))
+        return robustness_levels(graphs)
+
+    monkeypatch.setattr(robustnet.experiment, "robustness_levels", spy)
+    config = ExperimentConfig(r_values=(6,), p_values=(0.1,), node_offsets=("2r",),
+                              samples_per_p=300, master_seed=2, max_attempts=700)
+    records, _ = run_experiment(config)
+    assert len(records) == 700  # p = 0.1 never gives a 6-robust graph
+    assert chunks == [(256, 12)] * 2 + [(188, 12)]
+    chunks.clear()
+    run_experiment(ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=("2r-1",),
+                                    samples_per_p=10, master_seed=0, max_attempts=3))
+    assert chunks == [(2, 19), (1, 19)]
+    assert all(size << n <= 1 << MAX_EXACT_N for size, n in chunks)
+
+
+def _peak_bytes(run):
+    run()  # first calls may fill interpreter caches
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_at_the_limit_is_one_certification():
+    single = _peak_bytes(lambda: max_robustness(erdos_renyi(MAX_EXACT_N, 0.8, 1)))
+    for offset in ("2r", "2r-1"):  # one graph at n = 20, two at n = 19
+        config = ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=(offset,),
+                                  samples_per_p=10, master_seed=0, max_attempts=3)
+        # the slack covers the cell's graphs and records; one more table
+        # of 2^20 entries would take 1 MiB
+        assert _peak_bytes(lambda: run_experiment(config)) <= single + (1 << 16)

@@ -61,6 +61,19 @@ def test_new_graph_rejects_bad_input():
         new_graph("3", [])
 
 
+def test_new_graph_rejects_bool_vertex_count():
+    with pytest.raises(ValueError):
+        new_graph(True)
+
+
+def test_new_graph_rejects_bool_vertices():
+    for edge in ((True, 2), (2, True), (False, 1)):
+        with pytest.raises(ValueError):
+            new_graph(3, [edge])
+    with pytest.raises(ValueError):
+        complete_graph(3).neighbors(True)
+
+
 def test_neighbors():
     tri = complete_graph(3)
     assert tri.neighbors(0) == {1, 2}

@@ -11,6 +11,7 @@ from robustnet import (
     max_robustness,
     new_graph,
     reachability,
+    robustness_levels,
     sparsest_even,
     sparsest_odd,
     tree_graph,
@@ -199,6 +200,50 @@ def test_certificates_match_scan_reference_on_extremal_graphs():
 @given(small_graphs(9))
 def test_certificates_match_scan_reference_property(g):
     _assert_matches_scan(g)
+
+
+def _assert_levels_match(graphs):
+    expected = [max_robustness(g).r_max for g in graphs]
+    assert robustness_levels(graphs) == expected
+    return expected
+
+
+def test_robustness_levels_match_certificates_on_seeded_stacks():
+    rng = random.Random(3301)
+    for n in range(1, 13):
+        for size in range(1 + n % 3, 41, 3):  # every B = 1..40 across the n
+            graphs = [random_graph(rng, n, rng.random()) for _ in range(size)]
+            levels = _assert_levels_match(graphs)
+            assert levels[:2] == [scan_max_robustness(g)[0] for g in graphs[:2]]
+
+
+def test_robustness_levels_match_certificates_on_complete_and_edgeless_stacks():
+    for n in range(1, 13):
+        assert _assert_levels_match([complete_graph(n)] * 3) == [(n + 1) // 2] * 3
+        assert _assert_levels_match([new_graph(n)] * 2) == [1 if n == 1 else 0] * 2
+        assert _assert_levels_match([new_graph(n), complete_graph(n)])[1] == (n + 1) // 2
+
+
+def test_robustness_levels_match_certificates_on_extremal_graphs():
+    for r in range(1, 6):
+        for g in (sparsest_odd(r), sparsest_even(r)):
+            graphs = [g] + [g.with_edge_removed(u, v) for u, v in g.edges()]
+            levels = _assert_levels_match(graphs)
+            assert levels == [scan_max_robustness(h)[0] for h in graphs]
+            assert levels[0] == r
+
+
+def test_robustness_levels_input_rules():
+    assert robustness_levels([]) == []
+    with pytest.raises(ValueError, match="one vertex count"):
+        robustness_levels([complete_graph(3), complete_graph(4)])
+    big = new_graph(MAX_EXACT_N + 1)
+
+    def refuse():
+        with pytest.raises(ValueError, match=r"2\^n"):
+            robustness_levels([big, big])
+
+    assert _traced_memory(refuse)[1] < 1 << 20
 
 
 def test_pairs_examined_counts_s1_candidates():
