@@ -25,7 +25,7 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import load_graph, write_edge_list
+from .graph import check_int, load_graph, write_edge_list
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -165,8 +165,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.r_min < 1 or args.r_max < args.r_min:
-        raise ValueError(f"need 1 <= r-min <= r-max, got {args.r_min}..{args.r_max}")
+    check_int(args.r_max, "--r-max", check_int(args.r_min, "--r-min", 1))
     reports = []
     for r in range(args.r_min, args.r_max + 1):
         reports.append(edge_lower_bound(2 * r - 1, r))
@@ -233,13 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run the bound-tightness random-graph sweep")
+    defaults = ExperimentConfig()
     p_exp.add_argument("--config", default=None, help="experiment config JSON file")
-    p_exp.add_argument("--r-values", default="1,2,3,4,5,6")
-    p_exp.add_argument("--samples-per-p", type=int, default=10)
-    p_exp.add_argument("--p-values", default="0.7,0.75,0.8,0.85,0.9")
-    p_exp.add_argument("--node-offsets", default="2r-1,2r")
+    p_exp.add_argument("--r-values", default=",".join(map(str, defaults.r_values)))
+    p_exp.add_argument("--samples-per-p", type=int, default=defaults.samples_per_p)
+    p_exp.add_argument("--p-values", default=",".join(map(repr, defaults.p_values)))
+    p_exp.add_argument("--node-offsets", default=",".join(defaults.node_offsets))
     p_exp.add_argument("--master-seed", type=int, default=None)
-    p_exp.add_argument("--max-attempts", type=int, default=5000)
+    p_exp.add_argument("--max-attempts", type=int, default=defaults.max_attempts)
     p_exp.add_argument("--output-dir", default=None)
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -21,13 +21,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, bits, check_int, check_number
 
 Behavior = Callable[[int], float]
 
@@ -62,8 +61,7 @@ def random_walk(start: float, step: float, seed: int) -> Behavior:
     rng = random.Random(seed)
 
     def at(t: int) -> float:
-        if t < 0:
-            raise ValueError("time step must be non-negative")
+        check_int(t, "time step")
         while len(values) <= t:
             values.append(values[-1] + (step if rng.random() < 0.5 else -step))
         return values[t]
@@ -71,7 +69,8 @@ def random_walk(start: float, step: float, seed: int) -> Behavior:
     return at
 
 
-_NUMERIC_PARAMS = ("value", "start", "slope", "offset", "amplitude", "period", "step")
+_NUMERIC_PARAMS = {name: f"behavior parameter {name!r}"
+                   for name in ("value", "start", "slope", "offset", "amplitude", "period", "step")}
 
 
 def behavior_from_spec(spec: dict) -> Behavior:
@@ -83,10 +82,8 @@ def behavior_from_spec(spec: dict) -> Behavior:
     if not isinstance(spec, dict):
         raise ValueError(f"behavior spec must be an object, got {spec!r}")
     kind = spec.get("kind")
-    for name in _NUMERIC_PARAMS:
-        value = spec.get(name, 0.0)
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-            raise ValueError(f"behavior parameter {name!r} must be a finite number, got {value!r}")
+    for name, what in _NUMERIC_PARAMS.items():
+        check_number(spec.get(name, 0.0), what)
     try:
         if kind == "constant":
             return constant(spec["value"])
@@ -114,11 +111,9 @@ class ThreatModel:
         """Raise ValueError naming the violated condition, if any."""
         if self.scope not in SCOPES:
             raise ValueError(f"threat scope must be one of {SCOPES}, got {self.scope!r}")
-        if isinstance(self.f, bool) or not isinstance(self.f, int) or self.f < 0:
-            raise ValueError(f"threat budget F must be a non-negative integer, got {self.f!r}")
-        for v in sorted(self.malicious):
-            if not isinstance(v, int) or not 0 <= v < g.n:
-                raise ValueError(f"malicious vertex {v!r} out of range for n={g.n}")
+        check_int(self.f, "threat budget F")
+        for v in self.malicious:
+            check_int(v, "malicious vertex", 0, g.n - 1)
         missing = [v for v in sorted(self.malicious) if v not in self.behaviors]
         if missing:
             raise ValueError(f"malicious vertices {missing} have no behavior")
@@ -148,7 +143,7 @@ class ThreatModel:
         try:
             scope = data["scope"]
             f = data["F"]
-            malicious = frozenset(data["malicious"])
+            malicious = frozenset(check_int(v, "malicious vertex") for v in data["malicious"])
         except (KeyError, TypeError) as exc:
             raise ValueError("threat spec requires 'scope', 'F', and 'malicious'") from exc
         default_spec = data.get("behavior")
@@ -213,8 +208,7 @@ def wmsr_step(g: Graph, states, f: int, normal) -> np.ndarray:
     left to right in vertex order, which fixes every bit of the result.
     f = 0 is plain uniform-weight averaging (:func:`nominal_step`).
     """
-    if isinstance(f, bool) or not isinstance(f, int) or f < 0:
-        raise ValueError(f"trim parameter F must be a non-negative integer, got {f!r}")
+    check_int(f, "trim parameter F")
     x = _as_state_vector(g, states)
     updating = list(bits(g.subset_mask(normal)))  # range-validates the update set
     return _wmsr_update(x, _neighbor_table(g, updating), f)
@@ -317,9 +311,8 @@ def simulate(
     value or updated normal state (a sum of huge states can overflow)
     raises ValueError.
     """
-    if not isinstance(max_steps, int) or max_steps < 1:
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
-    if not tol > 0:
+    check_int(max_steps, "max_steps", 1)
+    if not check_number(tol, "tolerance") > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     threat.validate(g)
     x0 = _as_state_vector(g, initial)
@@ -330,26 +323,30 @@ def simulate(
         raise ValueError("at least one normal agent is required")
     idx = sorted(normal)
     table = _neighbor_table(g, idx)
-    rows = [x0.copy()]
+    # One trace buffer, grown and finally cut in place (ndarray.resize reallocs).
+    states = np.empty((min(max_steps, 8) + 1, g.n))
+    states[0] = x0
     lo = float(min(x0[i] for i in idx))
     hi = float(max(x0[i] for i in idx))
     converged_at = 0 if hi - lo < tol else None
     t = 0
     while converged_at is None and t < max_steps:
         t += 1
-        nxt = _wmsr_update(rows[-1], table, threat.f)
+        if t == len(states):  # refcheck=False: no view of states is alive here
+            states.resize((min(max_steps + 1, t + 1 + t // 8), g.n), refcheck=False)
+        nxt = _wmsr_update(states[t - 1], table, threat.f)
         for m in threat.malicious:
             value = float(threat.behaviors[m](t))
             if not math.isfinite(value):
                 raise ValueError(f"behavior of vertex {m} gave non-finite value {value!r} at t={t}")
             nxt[m] = value
-        rows.append(nxt)
+        states[t] = nxt
         ns = nxt[idx]
         if not np.isfinite(ns).all():
             raise ValueError(f"W-MSR update gave a non-finite normal state at t={t}")
         if float(ns.max() - ns.min()) < tol:
             converged_at = t
-    states = np.vstack(rows)
+    states.resize((t + 1, g.n), refcheck=False)
     consensus_value = None
     if converged_at is not None:
         consensus_value = float(states[converged_at][idx].mean())

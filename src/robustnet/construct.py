@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, new_graph
+from .graph import Graph, check_int, check_number, new_graph
 
 KINDS = ("sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree")
 TREE_SHAPES = ("path", "star", "random")
@@ -82,9 +82,7 @@ def sparsest_odd(r: int, tree_shape: str = "path", seed: Optional[int] = None) -
     vertices form a tree of the requested shape.  Any tree shape yields the
     same edge count, 3r(r-1)/2, and the same certified robustness r.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"robustness level must be a positive integer, got {r!r}")
-    n = 2 * r - 1
+    n = 2 * check_int(r, "robustness level", 1) - 1
     rng = random.Random(seed) if seed is not None else None
     tail = list(range(r - 1, n))
     return new_graph(n, _hub_edges(n, r - 1) + _tree_edges(tail, tree_shape, rng))
@@ -98,9 +96,7 @@ def sparsest_even(r: int) -> Graph:
     consecutive pairs 0-1, 2-3, ... and each pair's connecting edge is
     removed, leaving exactly floor((r(3r-2)+2)/2) edges.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"robustness level must be a positive integer, got {r!r}")
-    n = 2 * r
+    n = 2 * check_int(r, "robustness level", 1)
     g = new_graph(n, _hub_edges(n, r))
     delta = r - 1 if r % 2 else r - 2
     for k in range(0, delta, 2):
@@ -116,8 +112,7 @@ def f_elemental(f: int, tail_shape: str = "path", seed: Optional[int] = None) ->
     be denser than a tree (e.g. "complete"), so unlike :func:`sparsest_odd`
     the result is not edge-minimal in general.
     """
-    if not isinstance(f, int) or f < 1:
-        raise ValueError(f"hub budget must be a positive integer, got {f!r}")
+    check_int(f, "hub budget", 1)
     if tail_shape not in TAIL_SHAPES:
         raise ValueError(f"tail shape must be one of {TAIL_SHAPES}, got {tail_shape!r}")
     n = 4 * f + 1
@@ -138,12 +133,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     consumes exactly one uniform draw from random.Random(seed), so identical
     (n, p, seed) triples reproduce identical edge lists byte for byte.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-    if not 0.0 <= p <= 1.0:
+    rows = [0] * check_int(n, "vertex count", 1)
+    if not 0.0 <= check_number(p, "edge probability") <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
     draw = random.Random(seed).random
-    rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if draw() < p:
@@ -154,10 +147,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:
     """Tree on n vertices: a path, a star, or a seeded uniform random tree."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     rng = random.Random(seed) if seed is not None else None
-    return new_graph(n, _tree_edges(list(range(n)), tree_shape, rng))
+    return new_graph(n, _tree_edges(list(range(check_int(n, "vertex count", 1))), tree_shape, rng))
 
 
 @dataclass(frozen=True)
@@ -185,19 +176,17 @@ class ConstructionRecipe:
         if self.kind in ("sparsest-odd", "sparsest-even", "f-elemental"):
             if self.r is None or self.n is not None:
                 raise ValueError(f"{self.kind} recipe takes r, not n")
-            if not isinstance(self.r, int) or self.r < 1:
-                raise ValueError(f"r must be a positive integer, got {self.r!r}")
+            check_int(self.r, "r", 1)
             if self.kind == "f-elemental" and (self.r < 3 or self.r % 2 == 0):
                 raise ValueError(f"f-elemental robustness must be odd and >= 3, got {self.r}")
         else:
             if self.n is None or self.r is not None:
                 raise ValueError(f"{self.kind} recipe takes n, not r")
-            if not isinstance(self.n, int) or self.n < 1:
-                raise ValueError(f"n must be a positive integer, got {self.n!r}")
+            check_int(self.n, "n", 1)
         if self.kind == "erdos-renyi":
             if self.p is None:
                 raise ValueError("erdos-renyi recipe requires p")
-            if not 0.0 <= self.p <= 1.0:
+            if not 0.0 <= check_number(self.p, "edge probability") <= 1.0:
                 raise ValueError(f"edge probability must be in [0, 1], got {self.p!r}")
         elif self.p is not None:
             raise ValueError(f"p only applies to erdos-renyi recipes, not {self.kind}")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
+from .graph import check_int, check_number
 from .robustness import MAX_EXACT_N, edge_lower_bound, robustness_levels
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
@@ -51,27 +52,24 @@ class ExperimentConfig:
         if not self.r_values:
             raise ValueError("at least one robustness target is required")
         for r in self.r_values:
-            if not isinstance(r, int) or r < 1:
-                raise ValueError(f"robustness targets must be positive integers, got {r!r}")
-            if 2 * r > MAX_EXACT_N:
+            if 2 * check_int(r, "robustness target", 1) > MAX_EXACT_N:
                 raise ValueError(
                     f"r={r} needs certification at n={2 * r}, "
                     f"beyond the capability limit {MAX_EXACT_N}"
                 )
-        if not isinstance(self.samples_per_p, int) or self.samples_per_p < 1:
-            raise ValueError(f"samples_per_p must be a positive integer, got {self.samples_per_p!r}")
+        check_int(self.samples_per_p, "samples_per_p", 1)
         if not self.p_values:
             raise ValueError("at least one edge probability is required")
         for p in self.p_values:
-            if not 0.0 < p <= 1.0:
+            if not 0.0 < check_number(p, "edge probability") <= 1.0:
                 raise ValueError(f"edge probabilities must lie in (0, 1], got {p!r}")
         if not self.node_offsets:
             raise ValueError("at least one node offset is required")
         for offset in self.node_offsets:
             if offset not in NODE_OFFSET_CHOICES:
                 raise ValueError(f"node offsets must be among {NODE_OFFSET_CHOICES}, got {offset!r}")
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be a positive integer, got {self.max_attempts!r}")
+        check_int(self.max_attempts, "max_attempts", 1)
+        check_int(self.master_seed, "master_seed", None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,6 +93,8 @@ class ExperimentConfig:
         kwargs = dict(data)
         for key in ("r_values", "p_values", "node_offsets"):
             if key in kwargs:
+                if not isinstance(kwargs[key], list):
+                    raise ValueError(f"{key} must be a JSON array, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

@@ -10,9 +10,11 @@ public API as plain frozensets; masks stay internal.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +26,31 @@ MAX_VERTICES = 1 << 14
 # certifier and densest_subset_of_size): 2^20 subsets at about 6 B each,
 # roughly 6 MB.
 MAX_EXACT_N = 20
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_int(value, what: str, least: Optional[int] = 0, most: Optional[int] = None) -> int:
+    """value, if it is an int in least..most (None leaves that end open).
+
+    Anything else raises ValueError naming what; a bool is refused, not
+    read as 0 or 1.
+    """
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least) or (most is not None and value > most)):
+        if most is not None:
+            raise ValueError(f"{what} {value!r} out of range {least}..{most}")
+        need = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        raise ValueError(f"{what} must be {need.get(least, f'an integer >= {least}')}, got {value!r}")
+    return value
+
+
+def check_number(value, what: str):
+    """value, unchanged, if it is a real number in the finite float range; a bool is refused."""
+    # float first: the Real ABC check alone costs about 1 us a call
+    if type(value) is bool or not isinstance(value, (float, Real)) or not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -90,15 +117,12 @@ class Graph:
         return mask
 
     def _check_vertex(self, v: int) -> None:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.n:
-            raise ValueError(f"vertex {v!r} out of range for n={self.n}")
+        check_int(v, "vertex", 0, self.n - 1)
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph from unordered vertex pairs; duplicate pairs collapse."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-    rows = [0] * n
+    rows = [0] * check_int(n, "vertex count", 1)
     for pair in edges:
         u, v = pair
         if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
@@ -177,8 +201,7 @@ def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
     set of the same size, so the answer is the last k-member mask attaining
     the maximum.  Limited to n <= MAX_EXACT_N.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= g.n:
-        raise ValueError(f"subset size {k!r} out of range for n={g.n}")
+    check_int(k, "subset size", 1, g.n)
     n = g.n
     check_exact_n(n, "densest_subset_of_size")
     size = 1 << n

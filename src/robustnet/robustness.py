@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_EXACT_N, Graph, bits, check_exact_n, densest_subset_of_size, max_clique
+from .graph import (MAX_EXACT_N, Graph, bits, check_exact_n, check_int,
+                    densest_subset_of_size, max_clique)
 
 ODD_CASE = "odd-case"
 EVEN_CASE = "even-case"
@@ -112,13 +113,6 @@ def reachability(g: Graph, members) -> int:
     if mask == 0:
         raise ValueError("reachability of the empty set is undefined")
     return max((g.rows[v] & ~mask).bit_count() for v in bits(mask))
-
-
-def _check_level(r, least: int) -> None:
-    """Refuse a level below least or not an int; a bool is refused, not read as 0 or 1."""
-    if isinstance(r, bool) or not isinstance(r, int) or r < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ValueError(f"robustness level must be a {kind} integer, got {r!r}")
 
 
 def _min_zeta(table, positions) -> None:
@@ -214,8 +208,7 @@ def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
     which neither side is r-reachable.  r = 0 is vacuously satisfied by any
     graph, as is every level on the single-vertex graph (no pair exists).
     """
-    _check_level(r, 0)
-    if r == 0:
+    if check_int(r, "robustness level") == 0:
         return True, None
     check_exact_n(g.n, "exact certification")
     reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
@@ -270,9 +263,7 @@ def edge_lower_bound(n: int, r: int) -> BoundReport:
     fall back to the general 3r(r-1)/2 bound, which is valid for every
     r-robust graph regardless of size but is not claimed tight there.
     """
-    _check_level(r, 1)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2 * r - 1:
-        raise ValueError(f"no {r}-robust graph on {n!r} nodes exists (need n >= 2r-1 = {2 * r - 1})")
+    check_int(n, "vertex count of an r-robust graph", 2 * check_int(r, "robustness level", 1) - 1)
     if n == 2 * r - 1:
         return BoundReport(n=n, r=r, bound=3 * r * (r - 1) // 2, kind=ODD_CASE)
     if n == 2 * r:
@@ -289,8 +280,7 @@ def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:
     expected to pass a graph already certified r-robust; the checks here are
     unconditional searches reported with witnesses.
     """
-    _check_level(r, 1)
-    if g.n == 2 * r - 1:
+    if g.n == 2 * check_int(r, "robustness level", 1) - 1:
         clique = max_clique(g)
         checks = (LemmaCheck("clique", r + 1, len(clique), clique),)
     elif g.n == 2 * r:

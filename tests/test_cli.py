@@ -225,6 +225,30 @@ def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
     assert not (tmp_path / "nan.verdict.json").exists()
 
 
+def test_simulate_rejects_bool_malicious_vertex(tmp_path, capsys):
+    # numpy would read initial[True] as every agent, so all would start at 150
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3",
+          "--output", str(graph_file), "--quiet"])
+    threat_file = write_threat(tmp_path / "threat.json", scope="F-total", f=1, malicious=(True,))
+    assert main(["simulate", str(graph_file), "--threat", str(threat_file),
+                 "--out-prefix", str(tmp_path / "run")]) == 2
+    assert "malicious vertex" in capsys.readouterr().err
+    assert not (tmp_path / "run.verdict.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_simulate_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3",
+          "--output", str(graph_file), "--quiet"])
+    threat_file = write_threat(tmp_path / "threat.json", f=1, malicious=(0,))
+    assert main(["simulate", str(graph_file), "--threat", str(threat_file),
+                 "--tol", tol, "--out-prefix", str(tmp_path / "run")]) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "run.verdict.json").exists()
+
+
 def test_experiment_cli(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     assert main(["experiment", "--r-values", "1,2", "--samples-per-p", "2",
@@ -256,6 +280,27 @@ def test_experiment_config_file(tmp_path):
     }))
     assert main(["experiment", "--config", str(config_file), "--quiet"]) == 0
     assert (tmp_path / "from-config" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p_values", ["0.9"]),
+    ("p_values", [True]),
+    ("p_values", [float("nan")]),
+    ("p_values", 0.9),
+    ("r_values", 3),
+    ("samples_per_p", True),
+    ("max_attempts", True),
+    ("master_seed", "x"),
+    ("master_seed", True),
+])
+def test_experiment_config_types_exit_2(tmp_path, capsys, field, value):
+    config = {"r_values": [1], "samples_per_p": 1, "p_values": [0.9],
+              "output_dir": str(tmp_path / "out"), field: value}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(config_file), "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def test_experiment_invalid_config(tmp_path, capsys):

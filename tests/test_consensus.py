@@ -87,7 +87,7 @@ def test_behavior_from_spec():
         behavior_from_spec({"kind": "chaos"})
     with pytest.raises(ValueError):
         behavior_from_spec("constant")
-    for bad in (math.nan, math.inf, -math.inf, "150", None, True):
+    for bad in (math.nan, math.inf, -math.inf, "150", None, True, 10 ** 400):
         with pytest.raises(ValueError, match="finite number"):
             behavior_from_spec({"kind": "constant", "value": bad})
     with pytest.raises(ValueError, match="'slope'"):
@@ -246,6 +246,10 @@ def test_threat_validation():
         constant_threat("F-global", 1, {0: 1.0}).validate(g)
     with pytest.raises(ValueError, match="non-negative integer"):
         constant_threat("F-local", True, {0: 50.0}).validate(g)
+    # True would index every agent; "a" would not sort among the vertices
+    for bad in (True, False, "a", 1.0):
+        with pytest.raises(ValueError, match="malicious vertex"):
+            constant_threat("F-total", 2, {bad: 1.0, 1: 1.0}).validate(g)
 
 
 def test_threat_from_json():
@@ -264,6 +268,9 @@ def test_threat_from_json():
         ThreatModel.from_json_dict({"scope": "F-total", "F": 1})
     with pytest.raises(ValueError):
         ThreatModel.from_json_dict({"scope": "F-total", "F": 1, "malicious": [0]})
+    for malicious in ([True], [1, True], ["a", 1], [0.0]):
+        with pytest.raises(ValueError, match="malicious vertex"):
+            ThreatModel.from_json_dict({**data, "malicious": malicious})
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,13 @@ def test_simulate_rejects_bad_input():
         simulate(g, no_threat(), [0.0, 1.0, 2.0], max_steps=0)
     with pytest.raises(ValueError):
         simulate(g, no_threat(), [0.0, 1.0, 2.0], tol=0.0)
+    for steps in (True, 2.0):
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate(g, no_threat(), [0.0, 1.0, 2.0], max_steps=steps)
+    # an infinite tolerance would report agreement at t = 0
+    for tol in (math.inf, math.nan, True, "1e-6"):
+        with pytest.raises(ValueError, match="tolerance"):
+            simulate(g, no_threat(), [0.0, 1.0, 2.0], tol=tol)
     with pytest.raises(ValueError, match="F-total violated"):
         simulate(g, constant_threat("F-total", 0, {0: 5.0}), [0.0, 1.0, 2.0])
     all_bad = constant_threat("F-total", 3, {0: 1.0, 1: 1.0, 2: 1.0})
@@ -358,6 +372,31 @@ def test_simulate_memory_is_linear_in_edges():
         tracemalloc.stop()
     assert trace.states.shape == (11, n)
     assert peak < 8 << 20  # an n x n bool array alone would take 64 MiB
+
+
+def ring_lattice(n):
+    return new_graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+
+
+@pytest.mark.parametrize("n, initial, max_steps, tol, steps", [
+    # a ramp on a ring flattens far too slowly to converge: every step is used
+    (8192, [float(i) for i in range(8192)], 100, 1e-6, 100),
+    # a period-32 sawtooth converges long before max_steps
+    (1024, [float(i % 32) for i in range(1024)], 1000, 1e-3, 256),
+])
+def test_simulate_holds_each_step_once(n, initial, max_steps, tol, steps):
+    ring = ring_lattice(n)
+    tracemalloc.start()
+    try:
+        trace = simulate(ring, no_threat(), initial, max_steps=max_steps, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.states.shape == (steps + 1, n)
+    assert trace.converged_at == (None if steps == max_steps else steps)
+    assert trace.states.flags.c_contiguous and trace.states.base is None
+    # a list of rows stacked at the end peaks at about twice the trace
+    assert peak <= 1.3 * trace.states.nbytes
 
 
 def test_containment_in_previous_step_hull():

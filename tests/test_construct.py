@@ -136,6 +136,28 @@ def test_erdos_renyi_rejects_bool_vertex_count():
         erdos_renyi(True, 0.5, 1)
 
 
+def test_builders_refuse_bool_and_non_numbers():
+    for build_bad in (
+        lambda: sparsest_odd(True),
+        lambda: sparsest_even(True),
+        lambda: f_elemental(True),
+        lambda: tree_graph(True),
+        lambda: erdos_renyi(5, True, 1),
+        lambda: erdos_renyi(5, "0.5", 1),
+        lambda: erdos_renyi(5, float("nan"), 1),
+    ):
+        with pytest.raises(ValueError):
+            build_bad()
+    for recipe in (
+        ConstructionRecipe(kind="sparsest-even", r=True),
+        ConstructionRecipe(kind="tree", n=True),
+        ConstructionRecipe(kind="erdos-renyi", n=5, p=True, seed=1),
+        ConstructionRecipe(kind="erdos-renyi", n=5, p="0.5", seed=1),
+    ):
+        with pytest.raises(ValueError):
+            recipe.validate()
+
+
 def test_erdos_renyi_determinism():
     a = format_edge_list(erdos_renyi(9, 0.8, 42))
     b = format_edge_list(erdos_renyi(9, 0.8, 42))

@@ -49,6 +49,20 @@ def test_config_validation():
         ExperimentConfig(samples_per_p=0).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(max_attempts=0).validate()
+    ExperimentConfig(master_seed=-3, p_values=(1,)).validate()
+    for bad in (
+        dict(r_values=(True,)),
+        dict(p_values=(True,)),
+        dict(p_values=("0.9",)),
+        dict(p_values=(float("inf"),)),
+        dict(samples_per_p=True),
+        dict(max_attempts=True),
+        dict(master_seed="x"),
+        dict(master_seed=True),
+        dict(master_seed=1.0),
+    ):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad).validate()
 
 
 def test_config_json_round_trip():
@@ -59,6 +73,9 @@ def test_config_json_round_trip():
         ExperimentConfig.from_json_dict({"r_values": [1], "bogus": True})
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict([1, 2])
+    for key in ("r_values", "p_values", "node_offsets"):
+        with pytest.raises(ValueError, match=f"{key} must be a JSON array"):
+            ExperimentConfig.from_json_dict({key: data[key][0]})
 
 
 def small_config(**overrides):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -22,6 +23,7 @@ from robustnet import (
     sparsest_even,
     write_edge_list,
 )
+from robustnet.graph import check_int, check_number
 
 from oracles import (
     complete_graph,
@@ -59,6 +61,34 @@ def test_new_graph_rejects_bad_input():
         new_graph(3, [(0, "1")])
     with pytest.raises(ValueError):
         new_graph("3", [])
+
+
+def test_check_int_accepts_only_ints_in_range():
+    assert check_int(0, "count") == 0
+    assert check_int(7, "size", 1, 7) == 7
+    assert check_int(-5, "seed", None) == -5
+    for bad, least, most, message in (
+        (True, 0, None, "non-negative integer"),
+        (False, None, None, "must be an integer"),
+        (-1, 0, None, "non-negative integer"),
+        (0, 1, None, "positive integer"),
+        (2.0, 1, None, "positive integer"),
+        ("3", 1, None, "positive integer"),
+        (4, 5, None, r"integer >= 5"),
+        (3, 0, 2, "out of range 0..2"),
+        (True, 0, 2, "out of range"),
+        (None, 0, 2, "out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_int(bad, "value", least, most)
+
+
+def test_check_number_accepts_finite_reals_unchanged():
+    assert type(check_number(1, "p")) is int  # no float conversion: p = 1 keeps its seeds
+    assert check_number(-2.5, "p") == -2.5
+    for bad in (True, False, math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [0.5]):
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            check_number(bad, "p")
 
 
 def test_new_graph_rejects_bool_vertex_count():
