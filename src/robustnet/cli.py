@@ -144,6 +144,7 @@ def cmd_experiment(args) -> int:
             max_attempts=args.max_attempts,
             output_dir=args.output_dir or ".",
         )
+    config.validate()
     out_dir = Path(args.output_dir if args.output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(config)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, bits, check_int, check_number
+from .graph import Graph, bits, check_fields, check_int, check_number
 
 Behavior = Callable[[int], float]
 
@@ -34,8 +34,8 @@ F_TOTAL = "F-total"
 F_LOCAL = "F-local"
 SCOPES = (F_TOTAL, F_LOCAL)
 
-BEHAVIOR_KINDS = ("constant", "ramp", "sinusoid", "random-walk")
-
+# check_validity's slack on each side of the safety interval, for rounding in the averages
+HULL_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Misbehavior trajectory library (all broadcast the same value to everyone)
@@ -58,7 +58,7 @@ def sinusoid(offset: float, amplitude: float, period: float) -> Behavior:
 def random_walk(start: float, step: float, seed: int) -> Behavior:
     """Seeded +-step walk; the value at t is independent of query order."""
     values = [float(start)]
-    rng = random.Random(seed)
+    rng = random.Random(check_int(seed, "random-walk seed", None))
 
     def at(t: int) -> float:
         check_int(t, "time step")
@@ -69,33 +69,33 @@ def random_walk(start: float, step: float, seed: int) -> Behavior:
     return at
 
 
-_NUMERIC_PARAMS = {name: f"behavior parameter {name!r}"
-                   for name in ("value", "start", "slope", "offset", "amplitude", "period", "step")}
+# kind -> (builder, required parameters, defaults of the rest); keys are parameter names
+_BEHAVIORS = {
+    "constant": (constant, ("value",), {}),
+    "ramp": (linear_ramp, ("slope",), {"start": 0.0}),
+    "sinusoid": (sinusoid, ("amplitude",), {"offset": 0.0, "period": 20.0}),
+    "random-walk": (random_walk, (), {"start": 0.0, "step": 1.0, "seed": 0}),
+}
+BEHAVIOR_KINDS = tuple(_BEHAVIORS)
 
 
 def behavior_from_spec(spec: dict) -> Behavior:
     """Build a trajectory from a JSON-style spec: {"kind": ..., params...}.
 
     Numeric parameters must be finite numbers: a NaN or infinite adversary
-    value would poison the trimmed averages instead of being trimmed.
+    value would poison the trimmed averages instead of being trimmed.  A
+    parameter the kind does not take is refused.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"behavior spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
-    for name, what in _NUMERIC_PARAMS.items():
-        check_number(spec.get(name, 0.0), what)
-    try:
-        if kind == "constant":
-            return constant(spec["value"])
-        if kind == "ramp":
-            return linear_ramp(spec.get("start", 0.0), spec["slope"])
-        if kind == "sinusoid":
-            return sinusoid(spec.get("offset", 0.0), spec["amplitude"], spec.get("period", 20.0))
-        if kind == "random-walk":
-            return random_walk(spec.get("start", 0.0), spec.get("step", 1.0), spec.get("seed", 0))
-    except KeyError as exc:
-        raise ValueError(f"behavior kind {kind!r} is missing parameter {exc.args[0]!r}") from exc
-    raise ValueError(f"behavior kind must be one of {BEHAVIOR_KINDS}, got {kind!r}")
+    kind = check_fields(spec, "behavior spec", ("kind",), spec)["kind"]  # params: per kind below
+    if kind not in BEHAVIOR_KINDS:
+        raise ValueError(f"behavior kind must be one of {BEHAVIOR_KINDS}, got {kind!r}")
+    build, required, defaults = _BEHAVIORS[kind]
+    params = {**defaults, **check_fields(spec, f"{kind} behavior", ("kind", *required), defaults)}
+    del params["kind"]
+    for name, value in params.items():
+        if name != "seed":  # random_walk checks its own seed
+            check_number(value, f"behavior parameter {name!r}")
+    return build(**params)
 
 
 @dataclass(frozen=True)
@@ -138,23 +138,22 @@ class ThreatModel:
         """Parse {"scope", "F", "malicious", "behavior" and/or "behaviors"}.
 
         "behavior" applies to every malicious vertex; entries in the
-        "behaviors" map (keyed by vertex as a string) override it.
+        "behaviors" map (keyed by malicious vertex, as a string) override it.
         """
-        try:
-            scope = data["scope"]
-            f = data["F"]
-            malicious = frozenset(check_int(v, "malicious vertex") for v in data["malicious"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("threat spec requires 'scope', 'F', and 'malicious'") from exc
+        check_fields(data, "threat spec", ("scope", "F", "malicious"), ("behavior", "behaviors"))
+        if not isinstance(data["malicious"], list):
+            raise ValueError(f"threat 'malicious' must be an array, got {data['malicious']!r}")
+        malicious = frozenset(check_int(v, "malicious vertex") for v in data["malicious"])
         default_spec = data.get("behavior")
-        per_vertex = data.get("behaviors", {})
+        per_vertex = check_fields(data.get("behaviors", {}), "'behaviors' map of malicious vertices",
+                                  optional=[str(v) for v in malicious])
         behaviors = {}
         for v in sorted(malicious):
             spec = per_vertex.get(str(v), default_spec)
             if spec is None:
                 raise ValueError(f"no behavior given for malicious vertex {v}")
             behaviors[v] = behavior_from_spec(spec)
-        return cls(scope=scope, f=f, malicious=malicious, behaviors=behaviors)
+        return cls(scope=data["scope"], f=data["F"], malicious=malicious, behaviors=behaviors)
 
 
 @dataclass(frozen=True)
@@ -360,17 +359,16 @@ def simulate(
     )
 
 
-def check_validity(trace: SimulationTrace, normal=None, tol: float = 1e-9) -> Verdict:
+def check_validity(trace: SimulationTrace) -> Verdict:
     """Judge a completed run: agreement, hull validity, final disagreement.
 
     Validity holds when every normal state at every recorded step lies in
-    the safety interval widened by tol on both sides (the small default
-    absorbs floating-point rounding of the convex averages).
+    the safety interval widened by HULL_TOL on both sides.
     """
-    idx = sorted(trace.normal if normal is None else normal)
+    idx = sorted(trace.normal)
     lo, hi = trace.safety_interval
     sub = trace.states[:, idx]
-    validity = bool((sub >= lo - tol).all() and (sub <= hi + tol).all())
+    validity = bool((sub >= lo - HULL_TOL).all() and (sub <= hi + HULL_TOL).all())
     final = float(sub[-1].max() - sub[-1].min())
     return Verdict(
         agreement=trace.converged_at is not None,

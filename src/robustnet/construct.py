@@ -20,21 +20,23 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, check_int, check_number, new_graph
+from .graph import Graph, _check_vertex_count, check_fields, check_int, check_number, new_graph
 
 KINDS = ("sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree")
 TREE_SHAPES = ("path", "star", "random")
 TAIL_SHAPES = ("path", "star", "random", "complete")
 
 
-def _hub_edges(n: int, hubs: int) -> list[tuple[int, int]]:
-    """Edges making every vertex below `hubs` adjacent to all other vertices."""
-    edges = []
-    for i in range(hubs):
-        for j in range(n):
-            if j != i:
-                edges.append((min(i, j), max(i, j)))
-    return edges
+def _hub_graph(n: int, hubs: int, toggled=()) -> Graph:
+    """Rows making every vertex below `hubs` adjacent to all others (no edge
+    list is built), with each toggled pair's edge flipped."""
+    full = (1 << n) - 1
+    hub_mask = (1 << hubs) - 1
+    rows = [full ^ (1 << v) if v < hubs else hub_mask for v in range(n)]
+    for u, v in toggled:
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[int, int]]:
@@ -61,7 +63,7 @@ def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[in
     return edges
 
 
-def _tree_edges(vertices: list[int], shape: str, rng: Optional[random.Random]) -> list[tuple[int, int]]:
+def _tree_edges(vertices: list[int], shape: str, seed: Optional[int]) -> list[tuple[int, int]]:
     if len(vertices) <= 1:
         return []
     if shape == "path":
@@ -69,9 +71,9 @@ def _tree_edges(vertices: list[int], shape: str, rng: Optional[random.Random]) -
     if shape == "star":
         return [(vertices[0], v) for v in vertices[1:]]
     if shape == "random":
-        if rng is None:
+        if seed is None:
             raise ValueError("random tree shape requires a seed")
-        return _random_tree_edges(vertices, rng)
+        return _random_tree_edges(vertices, random.Random(seed))
     raise ValueError(f"unknown tree shape {shape!r}")
 
 
@@ -83,9 +85,8 @@ def sparsest_odd(r: int, tree_shape: str = "path", seed: Optional[int] = None) -
     same edge count, 3r(r-1)/2, and the same certified robustness r.
     """
     n = 2 * check_int(r, "robustness level", 1) - 1
-    rng = random.Random(seed) if seed is not None else None
-    tail = list(range(r - 1, n))
-    return new_graph(n, _hub_edges(n, r - 1) + _tree_edges(tail, tree_shape, rng))
+    _check_vertex_count(n)
+    return _hub_graph(n, r - 1, _tree_edges(list(range(r - 1, n)), tree_shape, seed))
 
 
 def sparsest_even(r: int) -> Graph:
@@ -97,11 +98,9 @@ def sparsest_even(r: int) -> Graph:
     removed, leaving exactly floor((r(3r-2)+2)/2) edges.
     """
     n = 2 * check_int(r, "robustness level", 1)
-    g = new_graph(n, _hub_edges(n, r))
+    _check_vertex_count(n)
     delta = r - 1 if r % 2 else r - 2
-    for k in range(0, delta, 2):
-        g = g.with_edge_removed(k, k + 1)
-    return g
+    return _hub_graph(n, r, [(k, k + 1) for k in range(0, delta, 2)])
 
 
 def f_elemental(f: int, tail_shape: str = "path", seed: Optional[int] = None) -> Graph:
@@ -116,14 +115,10 @@ def f_elemental(f: int, tail_shape: str = "path", seed: Optional[int] = None) ->
     if tail_shape not in TAIL_SHAPES:
         raise ValueError(f"tail shape must be one of {TAIL_SHAPES}, got {tail_shape!r}")
     n = 4 * f + 1
-    hubs = 2 * f
-    tail = list(range(hubs, n))
-    rng = random.Random(seed) if seed is not None else None
-    if tail_shape == "complete":
-        tail_edges = [(u, v) for i, u in enumerate(tail) for v in tail[i + 1:]]
-    else:
-        tail_edges = _tree_edges(tail, tail_shape, rng)
-    return new_graph(n, _hub_edges(n, hubs) + tail_edges)
+    _check_vertex_count(n)
+    if tail_shape == "complete":  # every vertex is then a hub
+        return _hub_graph(n, n)
+    return _hub_graph(n, 2 * f, _tree_edges(list(range(2 * f, n)), tail_shape, seed))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -133,9 +128,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     consumes exactly one uniform draw from random.Random(seed), so identical
     (n, p, seed) triples reproduce identical edge lists byte for byte.
     """
-    rows = [0] * check_int(n, "vertex count", 1)
+    _check_vertex_count(check_int(n, "vertex count", 1))
     if not 0.0 <= check_number(p, "edge probability") <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
+    rows = [0] * n
     draw = random.Random(seed).random
     for i in range(n):
         for j in range(i + 1, n):
@@ -147,8 +143,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:
     """Tree on n vertices: a path, a star, or a seeded uniform random tree."""
-    rng = random.Random(seed) if seed is not None else None
-    return new_graph(n, _tree_edges(list(range(check_int(n, "vertex count", 1))), tree_shape, rng))
+    _check_vertex_count(check_int(n, "vertex count", 1))
+    return new_graph(n, _tree_edges(list(range(n)), tree_shape, seed))
 
 
 @dataclass(frozen=True)
@@ -211,12 +207,7 @@ class ConstructionRecipe:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError("recipe JSON must be an object with a 'kind'")
-        unknown = set(data) - {"kind", "r", "n", "p", "seed", "tree_shape"}
-        if unknown:
-            raise ValueError(f"unknown recipe fields: {sorted(unknown)}")
-        recipe = cls(**data)
+        recipe = cls(**check_fields(data, "recipe JSON", ("kind",), cls.__dataclass_fields__))
         recipe.validate()
         return recipe
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
-from .graph import check_int, check_number
+from .graph import check_fields, check_int, check_number
 from .robustness import MAX_EXACT_N, edge_lower_bound, robustness_levels
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
@@ -70,6 +70,8 @@ class ExperimentConfig:
                 raise ValueError(f"node offsets must be among {NODE_OFFSET_CHOICES}, got {offset!r}")
         check_int(self.max_attempts, "max_attempts", 1)
         check_int(self.master_seed, "master_seed", None)
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,13 +86,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError("experiment config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        kwargs = dict(data)
+        kwargs = dict(check_fields(data, "experiment config", optional=cls.__dataclass_fields__))
         for key in ("r_values", "p_values", "node_offsets"):
             if key in kwargs:
                 if not isinstance(kwargs[key], list):

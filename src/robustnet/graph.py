@@ -53,6 +53,21 @@ def check_number(value, what: str):
     return value
 
 
+def check_fields(data, what: str, required=(), optional=()) -> dict:
+    """data, if it is a dict with every required key and no key outside required and optional;
+    anything else, an unknown key included, raises ValueError naming what."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    # plain loops: all() over generators costs about twice as much a call
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} is missing {key!r}")
+    return data
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -275,13 +290,12 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    try:
-        n = data["n"]
-        edges = data["edges"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("graph JSON must be an object with 'n' and 'edges'") from exc
+    check_fields(data, "graph JSON", ("n", "edges"))
+    n, edges = data["n"], data["edges"]
     _check_vertex_count(n)
-    return new_graph(n, [tuple(e) for e in edges])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("graph JSON 'edges' must be an array of [u, v] arrays")
+    return new_graph(n, edges)
 
 
 def write_edge_list(g: Graph, path) -> None:

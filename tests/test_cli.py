@@ -338,3 +338,49 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def _walk(**params):
+    return {"kind": "random-walk", **params}
+
+
+# (input file, its JSON, a substring its one error line must contain)
+_HOSTILE_INPUTS = [
+    ("threat", {"behaviors": [1]}, "'behaviors'"),
+    ("threat", {"behavior": _walk(seed=[1])}, "seed"),
+    ("threat", {"behavior": _walk(seed=True)}, "seed"),
+    ("threat", {"behavior": {"kind": "sinusoid", "amplitude": 150.0, "peroid": 5}}, "'peroid'"),
+    ("threat", {"behaviors": {"3": {"kind": "constant", "value": 1.0}}}, "'3'"),
+    ("config", {"output_dir": 5}, "output_dir"),
+    ("graph", {"n": 2, "edges": 5}, "'edges'"),
+    ("graph", {"n": 2, "edges": [5]}, "'edges'"),
+    ("graph", {"n": 3, "edges": [[0, 1, 2]]}, "'edges'"),
+    ("graph", {"n": 2, "edges": [[0, 1]], "extra": 1}, "'extra'"),
+]
+
+
+@pytest.mark.parametrize("kind, data, named", _HOSTILE_INPUTS)
+def test_malformed_json_inputs_exit_2_without_artifacts(tmp_path, capsys, kind, data, named):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3", "--output", str(graph_file), "--quiet"])
+    threat = {"scope": "F-local", "F": 1, "malicious": [0],
+              "behavior": {"kind": "constant", "value": 150.0}}
+    config = {"r_values": [1], "samples_per_p": 1, "p_values": [0.9]}
+    if kind == "graph":
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps(data))
+        args = ["certify", str(graph_file)]
+    elif kind == "threat":
+        threat_file = tmp_path / "threat.json"
+        threat_file.write_text(json.dumps({**threat, **data}))
+        args = ["simulate", str(graph_file), "--threat", str(threat_file),
+                "--out-prefix", str(tmp_path / "run")]
+    else:
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({**config, **data}))
+        args = ["experiment", "--config", str(config_file)]
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]
+    assert sorted(tmp_path.iterdir()) == before

@@ -75,6 +75,25 @@ def test_random_walk_is_order_independent():
     assert abs(walk(4) - walk(3)) == 1.0
 
 
+def test_random_walk_seed_must_be_an_integer():
+    assert random_walk(0.0, 1.0, -3)(4) == random_walk(0.0, 1.0, -3)(4)
+    for bad in (True, [1], 1.0, "1"):
+        with pytest.raises(ValueError, match="random-walk seed must be an integer"):
+            random_walk(0.0, 1.0, bad)
+
+
+def test_behavior_from_spec_refuses_parameters_the_kind_does_not_take():
+    for spec, message in (
+        ({"kind": "sinusoid", "amplitude": 1.0, "peroid": 5}, "sinusoid behavior has unknown key 'peroid'"),
+        ({"kind": "ramp", "slope": 1.0, "period": 5}, "ramp behavior has unknown key 'period'"),
+        ({"kind": "ramp"}, "ramp behavior is missing 'slope'"),
+        ({"value": 1.0}, "behavior spec is missing 'kind'"),
+        ({"kind": ["constant"], "value": 1.0}, "behavior kind must be one of"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            behavior_from_spec(spec)
+
+
 def test_behavior_from_spec():
     assert behavior_from_spec({"kind": "constant", "value": 2.0})(9) == 2.0
     assert behavior_from_spec({"kind": "ramp", "slope": 1.5})(2) == 3.0
@@ -271,6 +290,22 @@ def test_threat_from_json():
     for malicious in ([True], [1, True], ["a", 1], [0.0]):
         with pytest.raises(ValueError, match="malicious vertex"):
             ThreatModel.from_json_dict({**data, "malicious": malicious})
+
+
+def test_threat_from_json_refuses_stray_keys_and_shapes():
+    data = {"scope": "F-local", "F": 2, "malicious": [1, 4],
+            "behavior": {"kind": "constant", "value": 100.0}}
+    for change, message in (
+        ({"behaviors": {"2": {"kind": "constant", "value": 1.0}}}, "unknown key '2'"),
+        ({"behaviors": {"04": {"kind": "constant", "value": 1.0}}}, "unknown key '04'"),
+        ({"behaviors": [{"kind": "constant", "value": 1.0}]}, "'behaviors' map .* got list"),
+        ({"malicious": 1}, "'malicious' must be an array"),
+        ({"budget": 2}, "threat spec has unknown key 'budget'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ThreatModel.from_json_dict({**data, **change})
+    with pytest.raises(ValueError, match="threat spec must be a JSON object"):
+        ThreatModel.from_json_dict([data])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustnet import (
+    MAX_VERTICES,
     ConstructionRecipe,
     build,
     edge_lower_bound,
@@ -15,7 +19,6 @@ from robustnet import (
     sparsest_odd,
     tree_graph,
 )
-from robustnet.construct import _hub_edges
 
 from oracles import listcomp_erdos_renyi
 
@@ -93,7 +96,7 @@ def test_alternative_pair_choices_also_work():
     for r in range(3, 7):
         delta = r - 1 if r % 2 else r - 2
         pairs = [(r - 2 - k, r - 1 - k) for k in range(0, delta, 2)]  # from the top
-        g = new_graph(2 * r, _hub_edges(2 * r, r))
+        g = new_graph(2 * r, [(i, j) for i in range(r) for j in range(2 * r) if j != i])
         for a, b in pairs:
             g = g.with_edge_removed(a, b)
         assert g.edge_count == (r * (3 * r - 2) + 2) // 2
@@ -234,6 +237,63 @@ def test_recipe_json_round_trip():
         ConstructionRecipe.from_json_dict({"kind": "tree", "n": 3, "extra": 1})
     with pytest.raises(ValueError):
         ConstructionRecipe.from_json_dict({"n": 3})
+
+
+def test_recipe_from_json_refuses_non_objects_and_unknown_keys():
+    for data, message in (
+        (["tree"], "recipe JSON must be a JSON object"),
+        ("tree", "recipe JSON must be a JSON object"),
+        ({"kind": "tree", "n": 3, "depth": 2}, "recipe JSON has unknown key 'depth'"),
+        ({"n": 3}, "recipe JSON is missing 'kind'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ConstructionRecipe.from_json_dict(data)
+
+
+def _recipes():
+    """Hypothesis strategy: recipes that validate, every kind and shape."""
+    shaped = st.one_of(
+        st.tuples(st.sampled_from([None, "path", "star"]), st.none()),
+        st.tuples(st.just("random"), st.integers(-2**70, 2**70)),
+    )
+    sizes = st.integers(1, 10**6)
+    return st.one_of(
+        st.builds(lambda r, ts: ConstructionRecipe("sparsest-odd", r=r, tree_shape=ts[0], seed=ts[1]),
+                  sizes, shaped),
+        st.builds(lambda r: ConstructionRecipe("sparsest-even", r=r), sizes),
+        st.builds(lambda f, ts: ConstructionRecipe("f-elemental", r=2 * f + 1, tree_shape=ts[0], seed=ts[1]),
+                  sizes, shaped),
+        st.builds(lambda n, p, seed: ConstructionRecipe("erdos-renyi", n=n, p=p, seed=seed),
+                  sizes, st.floats(0.0, 1.0), st.integers(-2**70, 2**70)),
+        st.builds(lambda n, ts: ConstructionRecipe("tree", n=n, tree_shape=ts[0], seed=ts[1]),
+                  sizes, shaped),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_recipes())
+def test_recipe_json_round_trip_property(recipe):
+    recipe.validate()
+    assert ConstructionRecipe.from_json_dict(json.loads(json.dumps(recipe.to_json_dict()))) == recipe
+
+
+@pytest.mark.parametrize("build_over_limit", [
+    lambda: sparsest_odd(MAX_VERTICES // 2 + 1),
+    lambda: sparsest_even(MAX_VERTICES // 2 + 1),
+    lambda: f_elemental(MAX_VERTICES // 4, "complete"),
+    lambda: erdos_renyi(MAX_VERTICES + 1, 0.5, 1),
+    lambda: tree_graph(10**9),
+], ids=["sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree"])
+def test_builders_refuse_vertex_counts_above_max_vertices(build_over_limit):
+    with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
+        build_over_limit()
+
+
+def test_sparsest_even_at_max_vertices():
+    r = MAX_VERTICES // 2
+    g = sparsest_even(r)
+    assert g.n == MAX_VERTICES
+    assert g.edge_count == (r * (3 * r - 2) + 2) // 2
 
 
 def test_build_dispatch():

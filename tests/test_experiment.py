@@ -1,7 +1,10 @@
 import hashlib
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustnet.experiment
 from robustnet import (
@@ -16,7 +19,7 @@ from robustnet import (
     run_experiment,
     summary_to_csv_text,
 )
-from robustnet.experiment import RECORD_COLUMNS, SUMMARY_COLUMNS
+from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
 
 from oracles import loop_run_experiment
 
@@ -63,6 +66,27 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad).validate()
+
+
+def _configs():
+    """Hypothesis strategy: experiment configs that validate."""
+    return st.builds(
+        ExperimentConfig,
+        r_values=st.lists(st.integers(1, MAX_EXACT_N // 2), min_size=1, max_size=6).map(tuple),
+        samples_per_p=st.integers(1, 10**6),
+        p_values=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=6).map(tuple),
+        node_offsets=st.lists(st.sampled_from(NODE_OFFSET_CHOICES), min_size=1, max_size=3).map(tuple),
+        master_seed=st.integers(-2**70, 2**70),
+        max_attempts=st.integers(1, 10**6),
+        output_dir=st.text(),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_configs())
+def test_config_json_round_trip_property(config):
+    config.validate()
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
 
 
 def test_config_json_round_trip():

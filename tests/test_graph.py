@@ -23,7 +23,7 @@ from robustnet import (
     sparsest_even,
     write_edge_list,
 )
-from robustnet.graph import check_int, check_number
+from robustnet.graph import check_fields, check_int, check_number
 
 from oracles import (
     complete_graph,
@@ -89,6 +89,21 @@ def test_check_number_accepts_finite_reals_unchanged():
     for bad in (True, False, math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [0.5]):
         with pytest.raises(ValueError, match="p must be a finite number"):
             check_number(bad, "p")
+
+
+def test_check_fields_refuses_non_objects_missing_and_unknown_keys():
+    data = {"n": 1, "edges": []}
+    assert check_fields(data, "graph", ("n", "edges")) is data
+    assert check_fields(data, "graph", ("n",), ("edges", "extra")) is data
+    for bad, message in (
+        ([1], "graph must be a JSON object, got list"),
+        (None, "graph must be a JSON object, got NoneType"),
+        ({"edges": []}, "graph is missing 'n'"),
+        ({}, "graph is missing 'n'"),
+        ({**data, "m": 2, "k": 3}, "graph has unknown key 'm'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            check_fields(bad, "graph", ("n", "edges"))
 
 
 def test_new_graph_rejects_bool_vertex_count():
@@ -365,3 +380,10 @@ def test_load_graph_sniffs_format(tmp_path):
     json_file = tmp_path / "g.json"
     json_file.write_text(json.dumps(graph_to_json_dict(g)))
     assert load_graph(json_file) == g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(12))
+def test_graph_files_round_trip(g):
+    assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
+    assert parse_edge_list(format_edge_list(g)) == g

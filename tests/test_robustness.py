@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustnet import (
     check_structural_lemmas,
@@ -144,6 +145,16 @@ def test_adding_edges_never_hurts():
                 if not g.has_edge(u, v):
                     bigger = new_graph(g.n, list(g.edges()) + [(u, v)])
                     assert max_robustness(bigger).r_max >= base
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(10), st.data())
+def test_adding_an_edge_never_lowers_r_max_property(g, data):
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    if missing:
+        u, v = data.draw(st.sampled_from(missing))
+        bigger = new_graph(g.n, [*g.edges(), (u, v)])
+        assert max_robustness(bigger).r_max >= max_robustness(g).r_max
 
 
 def test_degree_necessity():
