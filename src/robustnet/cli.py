@@ -9,6 +9,7 @@ property-failure exits so a red run still leaves its data behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -102,7 +103,7 @@ def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
     threat = ThreatModel.from_json_dict(json.loads(Path(args.threat).read_text()))
     threat.validate(g)
-    rng = random.Random(args.seed if args.seed is not None else 0)
+    rng = random.Random(args.seed)
     initial = np.zeros(g.n)
     for i in range(g.n):
         if i not in threat.malicious:
@@ -130,22 +131,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
 def cmd_experiment(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
-    else:
-        master = args.master_seed if args.master_seed is not None else (args.seed or 0)
-        config = ExperimentConfig(
-            r_values=_parse_int_list(args.r_values),
-            samples_per_p=args.samples_per_p,
-            p_values=_parse_float_list(args.p_values),
-            node_offsets=tuple(part.strip() for part in args.node_offsets.split(",") if part.strip()),
-            master_seed=master,
-            max_attempts=args.max_attempts,
-            output_dir=args.output_dir or ".",
-        )
+    config = (ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+              if args.config else ExperimentConfig())
+    flags = {name: value for name in ExperimentConfig.__dataclass_fields__
+             if (value := getattr(args, name)) is not None}
+    config = dataclasses.replace(config, **flags)
     config.validate()
-    out_dir = Path(args.output_dir if args.output_dir is not None else config.output_dir)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(config)
     records_path = out_dir / "records.csv"
@@ -195,61 +192,64 @@ def cmd_bounds(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process; parsing never changes it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed where applicable")
-    common.add_argument("--output", default=None, help="output file path")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="machine-readable output format")
-    common.add_argument("--quiet", action="store_true", help="suppress informational output")
-
     parser = argparse.ArgumentParser(
         prog="robustnet",
         description="Construct, certify, and exercise maximally robust communication graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # allow_abbrev=False: each option has one name (`experiment --output` is not --output-dir)
 
-    p_construct = sub.add_parser("construct", parents=[common],
+    p_construct = sub.add_parser("construct", allow_abbrev=False,
                                  help="build a graph and write its edge list")
     p_construct.add_argument("--kind", required=True, choices=KINDS)
     p_construct.add_argument("--r", type=int, default=None, help="robustness target (extremal kinds)")
     p_construct.add_argument("--n", type=int, default=None, help="vertex count (random kinds)")
     p_construct.add_argument("--p", type=float, default=None, help="edge probability (erdos-renyi)")
+    p_construct.add_argument("--seed", type=int, default=None, help="seed of the randomized kinds")
     p_construct.add_argument("--tree-shape", choices=TREE_SHAPES, default=None)
+    p_construct.add_argument("--output", default=None, help="edge-list path")
     p_construct.set_defaults(func=cmd_construct)
 
-    p_certify = sub.add_parser("certify", parents=[common],
+    p_certify = sub.add_parser("certify", allow_abbrev=False,
                                help="certify exact maximum robustness of a graph file")
     p_certify.add_argument("graph", help="edge-list or JSON graph file")
+    p_certify.add_argument("--output", default=None, help="certificate path (default GRAPH.cert.json)")
     p_certify.set_defaults(func=cmd_certify)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", allow_abbrev=False,
                            help="run W-MSR consensus under a threat model")
     p_sim.add_argument("graph", help="edge-list or JSON graph file")
     p_sim.add_argument("--threat", required=True, help="threat model JSON file")
+    p_sim.add_argument("--seed", type=int, default=0, help="seed of the normal initial states")
     p_sim.add_argument("--steps", type=int, default=500, help="maximum update steps")
     p_sim.add_argument("--tol", type=float, default=1e-6, help="convergence spread tolerance")
     p_sim.add_argument("--out-prefix", default="simulation", help="prefix for trace/verdict files")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_exp = sub.add_parser("experiment", parents=[common],
+    # every flag defaults to None and, when given, replaces the config field of its name
+    p_exp = sub.add_parser("experiment", allow_abbrev=False,
                            help="run the bound-tightness random-graph sweep")
-    defaults = ExperimentConfig()
     p_exp.add_argument("--config", default=None, help="experiment config JSON file")
-    p_exp.add_argument("--r-values", default=",".join(map(str, defaults.r_values)))
-    p_exp.add_argument("--samples-per-p", type=int, default=defaults.samples_per_p)
-    p_exp.add_argument("--p-values", default=",".join(map(repr, defaults.p_values)))
-    p_exp.add_argument("--node-offsets", default=",".join(defaults.node_offsets))
+    p_exp.add_argument("--r-values", type=_parse_int_list, default=None)
+    p_exp.add_argument("--samples-per-p", type=int, default=None)
+    p_exp.add_argument("--p-values", type=_parse_float_list, default=None)
+    p_exp.add_argument("--node-offsets", type=_parse_str_list, default=None)
     p_exp.add_argument("--master-seed", type=int, default=None)
-    p_exp.add_argument("--max-attempts", type=int, default=defaults.max_attempts)
+    p_exp.add_argument("--max-attempts", type=int, default=None)
     p_exp.add_argument("--output-dir", default=None)
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_bounds = sub.add_parser("bounds", parents=[common],
+    p_bounds = sub.add_parser("bounds", allow_abbrev=False,
                               help="print the edge lower-bound table for a range of r")
     p_bounds.add_argument("--r-min", type=int, default=1)
     p_bounds.add_argument("--r-max", type=int, default=10)
+    p_bounds.add_argument("--format", choices=("csv", "json"), default=None,
+                          help="machine-readable table format")
+    p_bounds.add_argument("--output", default=None, help="table path (default stdout)")
     p_bounds.set_defaults(func=cmd_bounds)
 
+    for command in sub.choices.values():
+        command.add_argument("--quiet", action="store_true", help="suppress informational output")
     return parser
 
 

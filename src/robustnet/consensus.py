@@ -144,15 +144,17 @@ class ThreatModel:
         if not isinstance(data["malicious"], list):
             raise ValueError(f"threat 'malicious' must be an array, got {data['malicious']!r}")
         malicious = frozenset(check_int(v, "malicious vertex") for v in data["malicious"])
-        default_spec = data.get("behavior")
+        default = behavior_from_spec(data["behavior"]) if "behavior" in data else None
         per_vertex = check_fields(data.get("behaviors", {}), "'behaviors' map of malicious vertices",
                                   optional=[str(v) for v in malicious])
         behaviors = {}
         for v in sorted(malicious):
-            spec = per_vertex.get(str(v), default_spec)
-            if spec is None:
+            if str(v) in per_vertex:
+                behaviors[v] = behavior_from_spec(per_vertex[str(v)])
+            elif default is None:
                 raise ValueError(f"no behavior given for malicious vertex {v}")
-            behaviors[v] = behavior_from_spec(spec)
+            else:
+                behaviors[v] = default
         return cls(scope=data["scope"], f=data["F"], malicious=malicious, behaviors=behaviors)
 
 

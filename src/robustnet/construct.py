@@ -196,6 +196,8 @@ class ConstructionRecipe:
             raise ValueError(f"{self.kind} recipe with randomized output requires a seed")
         if not randomized and self.seed is not None:
             raise ValueError(f"seed only applies to randomized recipes, not this {self.kind} recipe")
+        if randomized:
+            check_int(self.seed, "seed", None)
 
     def to_json_dict(self) -> dict:
         data = {"kind": self.kind}

@@ -19,6 +19,9 @@ induced-edge table; it fixes which maximizer is reported.
 listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
 sampler and the chunked sweep; they fix every graph and every record.
+
+DEFAULT_SWEEP_SHA256 is the sha256 of each CSV of the default
+ExperimentConfig() sweep, which every sweep path must reproduce.
 """
 
 import random
@@ -37,6 +40,11 @@ from robustnet import (
 )
 from robustnet.experiment import NODE_OFFSET_CHOICES
 from robustnet.graph import bits
+
+DEFAULT_SWEEP_SHA256 = {
+    "records.csv": "972cd2a1f06b859138ad6f530de900748e6c8423e72d73148ad9c1e20c8fcf68",
+    "summary.csv": "cd993f8c9920f49ddec7b5ed334d473419fe2e78ccff8c85e48610e3fc4b2b96",
+}
 
 
 def all_nonempty_subsets(n):

@@ -1,9 +1,13 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
 from robustnet import MAX_EXACT_N, MAX_VERTICES, graph_to_json_dict, load_graph, new_graph
-from robustnet.cli import main
+from robustnet.cli import _build_parser, main
+
+from oracles import DEFAULT_SWEEP_SHA256
 
 
 def write_threat(path, scope="F-local", f=3, malicious=(0, 6, 12), value=150.0):
@@ -267,6 +271,27 @@ def test_experiment_cli(tmp_path, capsys):
     assert (out_dir2 / "records.csv").read_text() == records
 
 
+def test_experiment_flags_override_config_fields(tmp_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"r_values": [1], "samples_per_p": 1, "p_values": [0.9],
+                                       "output_dir": str(tmp_path / "from-config")}))
+    assert main(["experiment", "--config", str(config_file), "--r-values", "2",
+                 "--samples-per-p", "3", "--quiet"]) == 0
+    summary = (tmp_path / "from-config" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in summary] == ["2", "2"]
+    assert [row.split(",")[6] for row in summary] == ["3", "3"]
+    # --output-dir is one more field: it replaces the config's directory
+    assert main(["experiment", "--config", str(config_file), "--output-dir",
+                 str(tmp_path / "flag"), "--quiet"]) == 0
+    assert (tmp_path / "flag" / "records.csv").read_text().splitlines()[1].startswith("1,")
+
+
+def test_experiment_defaults_reproduce_default_sweep(tmp_path):
+    assert main(["experiment", "--output-dir", str(tmp_path), "--quiet"]) == 0
+    for name, digest in DEFAULT_SWEEP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_experiment_config_file(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({
@@ -334,6 +359,60 @@ def test_successive_calls_share_no_state(tmp_path, capsys):
     assert (tmp_path / "g.edges.cert.json").exists()
 
 
+# every option and positional each subcommand declares: all of them are read
+_OPTION_SETS = {
+    "construct": {"--kind", "--r", "--n", "--p", "--seed", "--tree-shape", "--output", "--quiet"},
+    "certify": {"graph", "--output", "--quiet"},
+    "simulate": {"graph", "--threat", "--seed", "--steps", "--tol", "--out-prefix", "--quiet"},
+    "experiment": {"--config", "--r-values", "--samples-per-p", "--p-values", "--node-offsets",
+                   "--master-seed", "--max-attempts", "--output-dir", "--quiet"},
+    "bounds": {"--r-min", "--r-max", "--format", "--output", "--quiet"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    [commands] = [action for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    declared = {
+        name: {action.option_strings[0] if action.option_strings else action.dest
+               for action in command._actions if not isinstance(action, argparse._HelpAction)}
+        for name, command in commands.choices.items()
+    }
+    assert declared == _OPTION_SETS
+    assert sum(map(len, declared.values())) == 32
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("construct", "--format", "csv"),
+    ("certify", "--seed", "3"),
+    ("certify", "--format", "json"),
+    ("simulate", "--output", "mine.csv"),
+    ("simulate", "--format", "csv"),
+    ("experiment", "--seed", "7"),
+    ("experiment", "--output", "out"),
+    ("experiment", "--format", "csv"),
+    ("bounds", "--seed", "3"),
+])
+def test_undeclared_options_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag, value):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3", "--output", str(graph_file), "--quiet"])
+    threat_file = write_threat(tmp_path / "threat.json", f=1, malicious=(0,))
+    args = {
+        "construct": ["--kind", "sparsest-odd", "--r", "3"],
+        "certify": [str(graph_file)],
+        "simulate": [str(graph_file), "--threat", str(threat_file)],
+        "experiment": ["--r-values", "1", "--samples-per-p", "1"],
+        "bounds": [],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main([command, *args, flag, value])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -356,6 +435,8 @@ _HOSTILE_INPUTS = [
     ("graph", {"n": 2, "edges": [5]}, "'edges'"),
     ("graph", {"n": 3, "edges": [[0, 1, 2]]}, "'edges'"),
     ("graph", {"n": 2, "edges": [[0, 1]], "extra": 1}, "'extra'"),
+    ("threat", {"behavior": {"kind": "chaos"}, "behaviors": {"0": {"kind": "constant", "value": 1.0}}},
+     "'chaos'"),
 ]
 
 

@@ -14,12 +14,14 @@ from robustnet import (
     check_validity,
     constant,
     erdos_renyi,
+    f_elemental,
     linear_ramp,
     new_graph,
     nominal_step,
     random_walk,
     simulate,
     sinusoid,
+    sparsest_even,
     sparsest_odd,
     trace_sidecar_dict,
     trace_to_csv_text,
@@ -473,6 +475,39 @@ def test_guarantee_at_threshold_small():
         assert verdict.agreement and verdict.validity
         lo, hi = trace.safety_interval
         assert lo - 1e-9 <= trace.consensus_value <= hi + 1e-9
+
+
+_VALUES = st.floats(-1e3, 1e3)
+_BEHAVIOR_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _VALUES}),
+    st.fixed_dictionaries({"kind": st.just("ramp"), "start": _VALUES, "slope": st.floats(-50, 50)}),
+    st.fixed_dictionaries({"kind": st.just("sinusoid"), "offset": _VALUES, "amplitude": _VALUES,
+                           "period": st.floats(1, 50)}),
+    st.fixed_dictionaries({"kind": st.just("random-walk"), "start": _VALUES,
+                           "step": st.floats(0, 50), "seed": st.integers(0, 2**32)}),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_wmsr_runs_stay_in_normal_hull_on_robust_graphs(data):
+    # LeBlanc et al., IEEE JSAC 31(4), 2013: on a (2F+1)-robust graph with an F-local
+    # adversary, every normal state of the whole run stays in the normal initial hull
+    r, g = data.draw(st.one_of(
+        st.integers(1, 7).map(lambda r: (r, sparsest_odd(r))),
+        st.integers(1, 7).map(lambda r: (r, sparsest_even(r))),
+        st.integers(1, 3).map(lambda f: (2 * f + 1, f_elemental(f))),
+    ))
+    f = data.draw(st.integers(0, (r - 1) // 2))
+    malicious = sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=f)))
+    specs = data.draw(st.lists(_BEHAVIOR_SPECS, min_size=len(malicious), max_size=len(malicious)))
+    threat = ThreatModel("F-local", f, frozenset(malicious),
+                         {m: behavior_from_spec(spec) for m, spec in zip(malicious, specs)})
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    initial = [rng.uniform(-100, 100) for _ in range(g.n)]
+    for m in malicious:
+        initial[m] = threat.behaviors[m](0)
+    assert check_validity(simulate(g, threat, initial, max_steps=200)).validity
 
 
 def test_permutation_equivariance():

@@ -156,6 +156,8 @@ def test_builders_refuse_bool_and_non_numbers():
         ConstructionRecipe(kind="tree", n=True),
         ConstructionRecipe(kind="erdos-renyi", n=5, p=True, seed=1),
         ConstructionRecipe(kind="erdos-renyi", n=5, p="0.5", seed=1),
+        ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=True),
+        ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=1.0),
     ):
         with pytest.raises(ValueError):
             recipe.validate()
@@ -245,6 +247,7 @@ def test_recipe_from_json_refuses_non_objects_and_unknown_keys():
         ("tree", "recipe JSON must be a JSON object"),
         ({"kind": "tree", "n": 3, "depth": 2}, "recipe JSON has unknown key 'depth'"),
         ({"n": 3}, "recipe JSON is missing 'kind'"),
+        ({"kind": "erdos-renyi", "n": 5, "p": 0.5, "seed": [1]}, "seed must be an integer"),
     ):
         with pytest.raises(ValueError, match=message):
             ConstructionRecipe.from_json_dict(data)

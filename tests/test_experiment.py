@@ -21,7 +21,7 @@ from robustnet import (
 )
 from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
 
-from oracles import loop_run_experiment
+from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment
 
 
 def test_derive_seed_is_stable():
@@ -219,9 +219,9 @@ def test_default_sweep_goldens():
     assert [(row.r, row.n, row.accepted, row.requested) for row in summary if row.shortfall] \
         == [(6, 11, 45, 50)]
     assert hashlib.sha256(records_to_csv_text(records).encode()).hexdigest() \
-        == "972cd2a1f06b859138ad6f530de900748e6c8423e72d73148ad9c1e20c8fcf68"
+        == DEFAULT_SWEEP_SHA256["records.csv"]
     assert hashlib.sha256(summary_to_csv_text(summary).encode()).hexdigest() \
-        == "cd993f8c9920f49ddec7b5ed334d473419fe2e78ccff8c85e48610e3fc4b2b96"
+        == DEFAULT_SWEEP_SHA256["summary.csv"]
 
 
 def test_chunks_stay_within_one_certification_at_the_limit(monkeypatch):

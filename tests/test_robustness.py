@@ -17,7 +17,9 @@ from robustnet import (
     sparsest_odd,
     tree_graph,
 )
-from robustnet.robustness import EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, ODD_CASE
+from robustnet.graph import bits
+from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, ODD_CASE, _NONE,
+                                  _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -255,6 +257,29 @@ def test_robustness_levels_input_rules():
             robustness_levels([big, big])
 
     assert _traced_memory(refuse)[1] < 1 << 20
+
+
+def _submasks(m):
+    s = m
+    while s:
+        yield s
+        s = (s - 1) & m
+
+
+def test_subset_tables_match_reachability_entry_by_entry():
+    # a transform fault can leave r_max right on nearly every graph, so every entry is checked
+    rng = random.Random(6151)
+    for n in range(1, 11):
+        graphs = [random_graph(rng, n, k / 5) for k in range(6)]
+        reach, best, pair = _subset_tables([g.rows for g in graphs])
+        assert reach.shape == best.shape == pair.shape == (len(graphs), 1 << n)
+        full = (1 << n) - 1
+        for b, g in enumerate(graphs):
+            want = [_NONE] + [reachability(g, bits(m)) for m in range(1, full + 1)]
+            least = [_NONE] + [min(want[s] for s in _submasks(m)) for m in range(1, full + 1)]
+            assert reach[b].tolist() == want
+            assert best[b].tolist() == least
+            assert pair[b].tolist() == [max(want[m], least[full ^ m]) for m in range(full + 1)]
 
 
 def test_pairs_examined_counts_s1_candidates():
