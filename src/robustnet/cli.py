@@ -26,7 +26,7 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import check_int, load_graph, write_edge_list
+from .graph import MAX_VERTICES, check_int, load_graph, parse_json, write_edge_list
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -36,17 +36,8 @@ def _say(args, message: str) -> None:
 
 
 def _default_graph_name(recipe: ConstructionRecipe) -> str:
-    parts = [recipe.kind]
-    if recipe.r is not None:
-        parts.append(f"r{recipe.r}")
-    if recipe.n is not None:
-        parts.append(f"n{recipe.n}")
-    if recipe.p is not None:
-        parts.append(f"p{recipe.p}")
-    if recipe.seed is not None:
-        parts.append(f"seed{recipe.seed}")
-    if recipe.tree_shape is not None:
-        parts.append(recipe.tree_shape)
+    parts = [str(value) if key in ("kind", "tree_shape") else f"{key}{value}"
+             for key, value in recipe.to_json_dict().items()]
     return "-".join(parts) + ".edges"
 
 
@@ -60,7 +51,7 @@ def cmd_construct(args) -> int:
     write_edge_list(g, out)
     _say(args, f"wrote {out}")
     _say(args, f"n={g.n} edges={g.edge_count}")
-    if recipe.kind in ("sparsest-odd", "sparsest-even", "f-elemental"):
+    if recipe.r is not None:
         report = edge_lower_bound(g.n, recipe.r)
         _say(args, f"edge lower bound for {recipe.r}-robust on n={g.n}: {report.bound} ({report.kind})")
     return 0
@@ -101,7 +92,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
-    threat = ThreatModel.from_json_dict(json.loads(Path(args.threat).read_text()))
+    threat = ThreatModel.from_json_dict(parse_json(Path(args.threat).read_text(), args.threat))
     threat.validate(g)
     rng = random.Random(args.seed)
     initial = np.zeros(g.n)
@@ -136,12 +127,11 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_experiment(args) -> int:
-    config = (ExperimentConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+    config = (ExperimentConfig.from_json_dict(parse_json(Path(args.config).read_text(), args.config))
               if args.config else ExperimentConfig())
     flags = {name: value for name in ExperimentConfig.__dataclass_fields__
              if (value := getattr(args, name)) is not None}
     config = dataclasses.replace(config, **flags)
-    config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(config)
@@ -163,7 +153,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    check_int(args.r_max, "--r-max", check_int(args.r_min, "--r-min", 1))
+    largest = MAX_VERTICES // 2  # the largest r whose 2r-vertex graph can be built
+    check_int(args.r_max, "--r-max", check_int(args.r_min, "--r-min", 1, largest), largest)
     reports = []
     for r in range(args.r_min, args.r_max + 1):
         reports.append(edge_lower_bound(2 * r - 1, r))

@@ -100,20 +100,23 @@ def behavior_from_spec(spec: dict) -> Behavior:
 
 @dataclass(frozen=True)
 class ThreatModel:
-    """Adversary scope and budget, the compromised set, and its trajectories."""
+    """Adversary scope and budget, the compromised set, and its trajectories.
+
+    Everything that does not depend on a graph is checked when the threat
+    is made; :meth:`validate` checks the rest against a graph.
+    """
 
     scope: str
     f: int
     malicious: frozenset[int]
     behaviors: Mapping[int, Behavior]
 
-    def validate(self, g: Graph) -> None:
-        """Raise ValueError naming the violated condition, if any."""
+    def __post_init__(self) -> None:
         if self.scope not in SCOPES:
             raise ValueError(f"threat scope must be one of {SCOPES}, got {self.scope!r}")
         check_int(self.f, "threat budget F")
         for v in self.malicious:
-            check_int(v, "malicious vertex", 0, g.n - 1)
+            check_int(v, "malicious vertex")
         missing = [v for v in sorted(self.malicious) if v not in self.behaviors]
         if missing:
             raise ValueError(f"malicious vertices {missing} have no behavior")
@@ -121,6 +124,11 @@ class ThreatModel:
             raise ValueError(
                 f"F-total violated: {len(self.malicious)} malicious agents exceed F={self.f}"
             )
+
+    def validate(self, g: Graph) -> None:
+        """Raise ValueError if a malicious vertex is not in g or g violates F-local."""
+        for v in self.malicious:
+            check_int(v, "malicious vertex", 0, g.n - 1)
         if self.scope == F_LOCAL:
             malicious_mask = g.subset_mask(self.malicious)
             for i in range(g.n):
@@ -147,14 +155,8 @@ class ThreatModel:
         default = behavior_from_spec(data["behavior"]) if "behavior" in data else None
         per_vertex = check_fields(data.get("behaviors", {}), "'behaviors' map of malicious vertices",
                                   optional=[str(v) for v in malicious])
-        behaviors = {}
-        for v in sorted(malicious):
-            if str(v) in per_vertex:
-                behaviors[v] = behavior_from_spec(per_vertex[str(v)])
-            elif default is None:
-                raise ValueError(f"no behavior given for malicious vertex {v}")
-            else:
-                behaviors[v] = default
+        behaviors = {} if default is None else dict.fromkeys(malicious, default)
+        behaviors.update((int(key), behavior_from_spec(spec)) for key, spec in per_vertex.items())
         return cls(scope=data["scope"], f=data["F"], malicious=malicious, behaviors=behaviors)
 
 

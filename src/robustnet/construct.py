@@ -22,7 +22,6 @@ from typing import Optional
 
 from .graph import Graph, _check_vertex_count, check_fields, check_int, check_number, new_graph
 
-KINDS = ("sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree")
 TREE_SHAPES = ("path", "star", "random")
 TAIL_SHAPES = ("path", "star", "random", "complete")
 
@@ -71,9 +70,7 @@ def _tree_edges(vertices: list[int], shape: str, seed: Optional[int]) -> list[tu
     if shape == "star":
         return [(vertices[0], v) for v in vertices[1:]]
     if shape == "random":
-        if seed is None:
-            raise ValueError("random tree shape requires a seed")
-        return _random_tree_edges(vertices, random.Random(seed))
+        return _random_tree_edges(vertices, random.Random(check_int(seed, "seed", None)))
     raise ValueError(f"unknown tree shape {shape!r}")
 
 
@@ -132,7 +129,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= check_number(p, "edge probability") <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
     rows = [0] * n
-    draw = random.Random(seed).random
+    draw = random.Random(check_int(seed, "seed", None)).random
     for i in range(n):
         for j in range(i + 1, n):
             if draw() < p:
@@ -147,9 +144,23 @@ def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> 
     return new_graph(n, _tree_edges(list(range(n)), tree_shape, seed))
 
 
+# kind -> (builder, size field, takes a tree shape); build passes the builder
+# the recipe's set fields by name
+_KINDS = {
+    "sparsest-odd": (sparsest_odd, "r", True),
+    "sparsest-even": (sparsest_even, "r", False),
+    "f-elemental": (lambda r, tree_shape="path", seed=None: f_elemental((r - 1) // 2, tree_shape, seed),
+                    "r", True),
+    "erdos-renyi": (erdos_renyi, "n", False),
+    "tree": (tree_graph, "n", True),
+}
+KINDS = tuple(_KINDS)
+
+
 @dataclass(frozen=True)
 class ConstructionRecipe:
-    """Declarative description of a graph to build, serializable as JSON.
+    """Declarative description of a graph to build, serializable as JSON,
+    checked when it is made.
 
     kind selects the builder; r parameterizes the extremal families (for
     f-elemental, r must be odd and the hub budget is (r-1)/2); n/p/seed
@@ -165,20 +176,16 @@ class ConstructionRecipe:
     seed: Optional[int] = None
     tree_shape: Optional[str] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"recipe kind must be one of {KINDS}, got {self.kind!r}")
-        shaped = self.kind in ("sparsest-odd", "f-elemental", "tree")
-        if self.kind in ("sparsest-odd", "sparsest-even", "f-elemental"):
-            if self.r is None or self.n is not None:
-                raise ValueError(f"{self.kind} recipe takes r, not n")
-            check_int(self.r, "r", 1)
-            if self.kind == "f-elemental" and (self.r < 3 or self.r % 2 == 0):
-                raise ValueError(f"f-elemental robustness must be odd and >= 3, got {self.r}")
-        else:
-            if self.n is None or self.r is not None:
-                raise ValueError(f"{self.kind} recipe takes n, not r")
-            check_int(self.n, "n", 1)
+        _, size, shaped = _KINDS[self.kind]
+        other = "n" if size == "r" else "r"
+        if getattr(self, size) is None or getattr(self, other) is not None:
+            raise ValueError(f"{self.kind} recipe takes {size}, not {other}")
+        check_int(getattr(self, size), size, 1)
+        if self.kind == "f-elemental" and (self.r < 3 or self.r % 2 == 0):
+            raise ValueError(f"f-elemental robustness must be odd and >= 3, got {self.r}")
         if self.kind == "erdos-renyi":
             if self.p is None:
                 raise ValueError("erdos-renyi recipe requires p")
@@ -191,7 +198,7 @@ class ConstructionRecipe:
                 raise ValueError(f"tree_shape does not apply to {self.kind} recipes")
             if self.tree_shape not in TREE_SHAPES:
                 raise ValueError(f"tree_shape must be one of {TREE_SHAPES}, got {self.tree_shape!r}")
-        randomized = self.kind == "erdos-renyi" or (shaped and self.tree_shape == "random")
+        randomized = self.kind == "erdos-renyi" or self.tree_shape == "random"
         if randomized and self.seed is None:
             raise ValueError(f"{self.kind} recipe with randomized output requires a seed")
         if not randomized and self.seed is not None:
@@ -209,21 +216,10 @@ class ConstructionRecipe:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
-        recipe = cls(**check_fields(data, "recipe JSON", ("kind",), cls.__dataclass_fields__))
-        recipe.validate()
-        return recipe
+        return cls(**check_fields(data, "recipe JSON", ("kind",), cls.__dataclass_fields__))
 
 
 def build(recipe: ConstructionRecipe) -> Graph:
-    """Build the graph described by a validated recipe."""
-    recipe.validate()
-    shape = recipe.tree_shape or "path"
-    if recipe.kind == "sparsest-odd":
-        return sparsest_odd(recipe.r, shape, recipe.seed)
-    if recipe.kind == "sparsest-even":
-        return sparsest_even(recipe.r)
-    if recipe.kind == "f-elemental":
-        return f_elemental((recipe.r - 1) // 2, shape, recipe.seed)
-    if recipe.kind == "erdos-renyi":
-        return erdos_renyi(recipe.n, recipe.p, recipe.seed)
-    return tree_graph(recipe.n, shape, recipe.seed)
+    """Build the graph a recipe describes."""
+    fields = recipe.to_json_dict()
+    return _KINDS[fields.pop("kind")][0](**fields)

@@ -40,6 +40,8 @@ def derive_seed(master_seed: int, r: int, n: int, p: float, attempt: int) -> int
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Sweep parameters, checked when the config is made (dataclasses.replace too)."""
+
     r_values: tuple[int, ...] = DEFAULT_R_VALUES
     samples_per_p: int = 10
     p_values: tuple[float, ...] = DEFAULT_P_VALUES
@@ -48,7 +50,7 @@ class ExperimentConfig:
     max_attempts: int = 5000
     output_dir: str = "."
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.r_values:
             raise ValueError("at least one robustness target is required")
         for r in self.r_values:
@@ -150,7 +152,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
     Attempts are certified in chunks (see _certified_draws) but consumed in
     attempt order, so the output is that of one attempt at a time.
     """
-    config.validate()
     records: list[ExperimentRecord] = []
     summary: list[SummaryRow] = []
     offsets = [o for o in NODE_OFFSET_CHOICES if o in config.node_offsets]

@@ -68,6 +68,14 @@ def check_fields(data, what: str, required=(), optional=()) -> dict:
     return data
 
 
+def parse_json(text: str, source) -> object:
+    """The JSON value in text; nesting too deep for the parser raises ValueError naming source."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to parse") from None
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -314,5 +322,5 @@ def load_graph(path) -> Graph:
     """
     text = Path(path).read_text()
     if text.lstrip()[:1] == "{":
-        return graph_from_json_dict(json.loads(text))
+        return graph_from_json_dict(parse_json(text, path))
     return parse_edge_list(text)

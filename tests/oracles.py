@@ -216,7 +216,6 @@ def listcomp_erdos_renyi(n, p, seed):
 def loop_run_experiment(config):
     """(records, summary) as run_experiment must return them: each attempt
     drawn by listcomp_erdos_renyi and certified by max_robustness alone."""
-    config.validate()
     records = []
     summary = []
     offsets = [o for o in NODE_OFFSET_CHOICES if o in config.node_offsets]

@@ -48,6 +48,18 @@ def test_bounds_rejects_bad_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bounds_caps_r_max_at_the_largest_buildable_r(tmp_path, capsys):
+    # r = MAX_VERTICES // 2 is the largest r whose 2r-vertex graph can be built
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--r-max", str(MAX_VERTICES // 2), "--format", "csv",
+                 "--output", str(out), "--quiet"]) == 0
+    assert out.read_text().splitlines()[-1].startswith(f"{MAX_VERTICES // 2},{MAX_VERTICES},")
+    assert main(["bounds", "--r-max", str(MAX_VERTICES // 2 + 1)]) == 2
+    assert "--r-max" in capsys.readouterr().err
+    assert main(["bounds", "--r-min", str(MAX_VERTICES // 2 + 1)]) == 2
+    assert "--r-min" in capsys.readouterr().err
+
+
 def test_construct_writes_edge_list(tmp_path, capsys):
     out = tmp_path / "g.edges"
     assert main(["construct", "--kind", "sparsest-even", "--r", "5",
@@ -328,6 +340,16 @@ def test_experiment_config_types_exit_2(tmp_path, capsys, field, value):
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+def test_experiment_config_file_is_checked_before_flags_replace_fields(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"r_values": [11], "output_dir": str(tmp_path / "out")}))
+    before = sorted(tmp_path.iterdir())
+    assert main(["experiment", "--config", str(config_file), "--r-values", "2", "--quiet"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "capability" in errors[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_experiment_invalid_config(tmp_path, capsys):
     assert main(["experiment", "--r-values", "12", "--quiet"]) == 2
     assert "capability" in capsys.readouterr().err
@@ -465,3 +487,27 @@ def test_malformed_json_inputs_exit_2_without_artifacts(tmp_path, capsys, kind, 
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind", ["graph", "threat", "config"])
+def test_deeply_nested_json_inputs_exit_2_without_artifacts(tmp_path, capsys, kind):
+    depth = 100_000
+    nested = '{"n": ' * depth + "1" + "}" * depth
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3", "--output", str(graph_file), "--quiet"])
+    source = tmp_path / f"{kind}.json"
+    source.write_text(nested)
+    args = {
+        "graph": ["certify", str(source)],
+        "threat": ["simulate", str(graph_file), "--threat", str(source),
+                   "--out-prefix", str(tmp_path / "run")],
+        "config": ["experiment", "--config", str(source)],
+    }[kind]
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(source) in errors[0] and "nested" in errors[0]
+    assert sorted(tmp_path.iterdir()) == before
+    if kind == "graph":
+        with pytest.raises(ValueError, match="nested"):
+            load_graph(source)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -271,6 +272,39 @@ def test_threat_validation():
     for bad in (True, False, "a", 1.0):
         with pytest.raises(ValueError, match="malicious vertex"):
             constant_threat("F-total", 2, {bad: 1.0, 1: 1.0}).validate(g)
+
+
+def _threat_json(**changes):
+    """A valid F-total threat's JSON with changes; a change to None drops that key."""
+    data = {"scope": "F-total", "F": 1, "malicious": [0],
+            "behavior": {"kind": "constant", "value": 1.0}, **changes}
+    return {key: value for key, value in data.items() if value is not None}
+
+
+# (fields that break a valid threat, the same break in its JSON); none needs a graph
+_BAD_THREATS = [
+    (dict(scope="F-global"), dict(scope="F-global")),
+    (dict(f=True), dict(F=True)),
+    (dict(f=-1), dict(F=-1)),
+    (dict(malicious=frozenset({0, 1}), behaviors={0: constant(1.0), 1: constant(1.0)}),
+     dict(malicious=[0, 1])),  # F-total violated
+    (dict(behaviors={}), dict(behavior=None)),  # no behavior
+    *[(dict(malicious=frozenset({bad}), behaviors={bad: constant(1.0)}), dict(malicious=[bad]))
+      for bad in (True, False, "a", 1.0, -1)],
+]
+
+
+@pytest.mark.parametrize("fields, json_fields", _BAD_THREATS,
+                         ids=[repr(json_fields) for _, json_fields in _BAD_THREATS])
+def test_threat_is_checked_however_it_is_made(fields, json_fields):
+    valid = constant_threat("F-total", 1, {0: 1.0})
+    assert ThreatModel.from_json_dict(_threat_json()).malicious == valid.malicious
+    with pytest.raises(ValueError):
+        ThreatModel(**{**vars(valid), **fields})
+    with pytest.raises(ValueError):
+        ThreatModel.from_json_dict(_threat_json(**json_fields))
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, **fields)
 
 
 def test_threat_from_json():

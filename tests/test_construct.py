@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -151,16 +152,19 @@ def test_builders_refuse_bool_and_non_numbers():
     ):
         with pytest.raises(ValueError):
             build_bad()
-    for recipe in (
-        ConstructionRecipe(kind="sparsest-even", r=True),
-        ConstructionRecipe(kind="tree", n=True),
-        ConstructionRecipe(kind="erdos-renyi", n=5, p=True, seed=1),
-        ConstructionRecipe(kind="erdos-renyi", n=5, p="0.5", seed=1),
-        ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=True),
-        ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=1.0),
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, "abc", [1], None])
+def test_builders_check_their_seeds(seed):
+    # a bool is not read as 0 or 1, and None would draw a new graph on every call
+    for build_bad in (
+        lambda: erdos_renyi(5, 0.5, seed),
+        lambda: tree_graph(5, "random", seed),
+        lambda: sparsest_odd(3, "random", seed),
+        lambda: f_elemental(1, "random", seed),
     ):
-        with pytest.raises(ValueError):
-            recipe.validate()
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            build_bad()
 
 
 def test_erdos_renyi_determinism():
@@ -206,28 +210,46 @@ def test_tree_graph_shapes():
 
 
 def test_recipe_validation():
-    ConstructionRecipe(kind="sparsest-odd", r=3).validate()
-    ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=1).validate()
-    ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=2).validate()
-    ConstructionRecipe(kind="f-elemental", r=5).validate()
+    ConstructionRecipe(kind="sparsest-odd", r=3)
+    ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=1)
+    ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=2)
+    ConstructionRecipe(kind="f-elemental", r=5)
 
-    bad = [
-        ConstructionRecipe(kind="nope", n=3),
-        ConstructionRecipe(kind="sparsest-odd", n=5),            # takes r, not n
-        ConstructionRecipe(kind="sparsest-odd", r=3, n=5),
-        ConstructionRecipe(kind="sparsest-even", r=2, seed=1),   # not randomized
-        ConstructionRecipe(kind="sparsest-even", r=2, tree_shape="path"),
-        ConstructionRecipe(kind="erdos-renyi", n=5, seed=1),     # p missing
-        ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5),      # seed missing
-        ConstructionRecipe(kind="erdos-renyi", n=5, p=2.0, seed=1),
-        ConstructionRecipe(kind="tree", n=5, tree_shape="random"),
-        ConstructionRecipe(kind="tree", n=5, tree_shape="zigzag"),
-        ConstructionRecipe(kind="f-elemental", r=4),             # must be odd
-        ConstructionRecipe(kind="sparsest-odd", r=0),
-    ]
-    for recipe in bad:
-        with pytest.raises(ValueError):
-            recipe.validate()
+
+_ER = dict(kind="erdos-renyi", n=5, p=0.5, seed=1)
+_RANDOM_TREE = dict(kind="tree", n=5, tree_shape="random", seed=2)
+
+# (a valid recipe's fields, the changes that make it invalid)
+_BAD_RECIPES = [
+    (dict(kind="tree", n=3), dict(kind="nope")),
+    (dict(kind="sparsest-odd", r=5), dict(r=None, n=5)),  # takes r, not n
+    (dict(kind="sparsest-odd", r=3), dict(n=5)),
+    (dict(kind="sparsest-even", r=2), dict(seed=1)),  # not randomized
+    (dict(kind="sparsest-even", r=2), dict(tree_shape="path")),
+    (_ER, dict(p=None)),
+    (_ER, dict(seed=None)),
+    (_ER, dict(p=2.0)),
+    (_RANDOM_TREE, dict(seed=None)),
+    (dict(kind="tree", n=5), dict(tree_shape="zigzag")),
+    (dict(kind="f-elemental", r=5), dict(r=4)),  # must be odd
+    (dict(kind="sparsest-odd", r=3), dict(r=0)),
+    (dict(kind="sparsest-even", r=2), dict(r=True)),
+    (dict(kind="tree", n=5), dict(n=True)),
+    (_ER, dict(p=True)),
+    (_ER, dict(p="0.5")),
+    (_ER, dict(seed=True)),
+    (_RANDOM_TREE, dict(seed=1.0)),
+]
+
+
+@pytest.mark.parametrize("valid, bad", _BAD_RECIPES, ids=repr)
+def test_recipe_is_checked_however_it_is_made(valid, bad):
+    with pytest.raises(ValueError):
+        ConstructionRecipe(**{**valid, **bad})
+    with pytest.raises(ValueError):
+        ConstructionRecipe.from_json_dict({**valid, **bad})
+    with pytest.raises(ValueError):
+        dataclasses.replace(ConstructionRecipe(**valid), **bad)
 
 
 def test_recipe_json_round_trip():
@@ -276,7 +298,6 @@ def _recipes():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_recipes())
 def test_recipe_json_round_trip_property(recipe):
-    recipe.validate()
     assert ConstructionRecipe.from_json_dict(json.loads(json.dumps(recipe.to_json_dict()))) == recipe
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -34,38 +35,44 @@ def test_derive_seed_is_stable():
 
 
 def test_config_validation():
-    ExperimentConfig().validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(r_values=()).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(r_values=(0,)).validate()
-    ExperimentConfig(r_values=(10,)).validate()  # 2r = 20 = MAX_EXACT_N
+    ExperimentConfig()
+    ExperimentConfig(r_values=(10,))  # 2r = 20 = MAX_EXACT_N
     with pytest.raises(ValueError, match="capability limit 20"):
-        ExperimentConfig(r_values=(11,)).validate()
+        ExperimentConfig(r_values=(11,))
+    ExperimentConfig(master_seed=-3, p_values=(1,))
+
+
+_BAD_CONFIG_FIELDS = [
+    dict(r_values=()),
+    dict(r_values=(0,)),
+    dict(r_values=(11,)),
+    dict(p_values=(0.0,)),
+    dict(p_values=(1.2,)),
+    dict(node_offsets=("3r",)),
+    dict(samples_per_p=0),
+    dict(max_attempts=0),
+    dict(r_values=(True,)),
+    dict(p_values=(True,)),
+    dict(p_values=("0.9",)),
+    dict(p_values=(float("inf"),)),
+    dict(samples_per_p=True),
+    dict(max_attempts=True),
+    dict(master_seed="x"),
+    dict(master_seed=True),
+    dict(master_seed=1.0),
+    dict(output_dir=5),
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_CONFIG_FIELDS, ids=repr)
+def test_config_is_checked_however_it_is_made(bad):
     with pytest.raises(ValueError):
-        ExperimentConfig(p_values=(0.0,)).validate()
+        ExperimentConfig(**bad)
     with pytest.raises(ValueError):
-        ExperimentConfig(p_values=(1.2,)).validate()
+        ExperimentConfig.from_json_dict({k: list(v) if isinstance(v, tuple) else v
+                                         for k, v in bad.items()})
     with pytest.raises(ValueError):
-        ExperimentConfig(node_offsets=("3r",)).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(samples_per_p=0).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(max_attempts=0).validate()
-    ExperimentConfig(master_seed=-3, p_values=(1,)).validate()
-    for bad in (
-        dict(r_values=(True,)),
-        dict(p_values=(True,)),
-        dict(p_values=("0.9",)),
-        dict(p_values=(float("inf"),)),
-        dict(samples_per_p=True),
-        dict(max_attempts=True),
-        dict(master_seed="x"),
-        dict(master_seed=True),
-        dict(master_seed=1.0),
-    ):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**bad).validate()
+        dataclasses.replace(ExperimentConfig(), **bad)
 
 
 def _configs():
@@ -85,7 +92,6 @@ def _configs():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_configs())
 def test_config_json_round_trip_property(config):
-    config.validate()
     assert ExperimentConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
 
 
