@@ -16,8 +16,6 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .construct import ConstructionRecipe, KINDS, TREE_SHAPES, build
 from .consensus import ThreatModel, check_validity, simulate, write_trace
 from .experiment import (
@@ -93,14 +91,8 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
     threat = ThreatModel.from_json_dict(parse_json(Path(args.threat).read_text(), args.threat))
-    threat.validate(g)
     rng = random.Random(args.seed)
-    initial = np.zeros(g.n)
-    for i in range(g.n):
-        if i not in threat.malicious:
-            initial[i] = rng.uniform(-100.0, 100.0)
-    for m in sorted(threat.malicious):
-        initial[m] = threat.behaviors[m](0)
+    initial = [0.0 if i in threat.malicious else rng.uniform(-100.0, 100.0) for i in range(g.n)]
     trace = simulate(g, threat, initial, max_steps=args.steps, tol=args.tol)
     csv_path, sidecar_path = write_trace(trace, args.out_prefix)
     verdict = check_validity(trace)

@@ -127,10 +127,10 @@ class ThreatModel:
 
     def validate(self, g: Graph) -> None:
         """Raise ValueError if a malicious vertex is not in g or g violates F-local."""
+        malicious_mask = 0
         for v in self.malicious:
-            check_int(v, "malicious vertex", 0, g.n - 1)
+            malicious_mask |= 1 << check_int(v, "malicious vertex", 0, g.n - 1)
         if self.scope == F_LOCAL:
-            malicious_mask = g.subset_mask(self.malicious)
             for i in range(g.n):
                 if i in self.malicious:
                     continue
@@ -304,23 +304,22 @@ def simulate(
 ) -> SimulationTrace:
     """Run W-MSR consensus under the given threat model.
 
-    Row 0 of the trace is the supplied initial condition.  For each later
-    step, misbehaving vertices take their trajectory value at t while
-    normal vertices apply the W-MSR update (parameter F from the threat) to
-    the previous row.  The run stops at the first step where the spread of
-    normal states drops below tol, recorded as converged_at, or after
-    max_steps updates.  The safety interval is the closed hull of the
-    normal agents' initial states.  A non-finite initial state, trajectory
-    value or updated normal state (a sum of huge states can overflow)
-    raises ValueError.
+    Row t of the trace holds every agent's state at time t, t = 0
+    included: misbehaving vertices take their trajectory value at t, and
+    normal vertices start from their entries of initial (the malicious
+    entries of initial are ignored) and then apply the W-MSR update
+    (parameter F from the threat) to the previous row.  The run stops at
+    the first step where the spread of normal states drops below tol,
+    recorded as converged_at, or after max_steps updates.  The safety
+    interval is the closed hull of the normal agents' initial states.  A
+    non-finite normal initial state, trajectory value or updated normal
+    state (a sum of huge states can overflow) raises ValueError.
     """
     check_int(max_steps, "max_steps", 1)
     if not check_number(tol, "tolerance") > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     threat.validate(g)
     x0 = _as_state_vector(g, initial)
-    if not np.isfinite(x0).all():
-        raise ValueError("initial states must be finite numbers")
     normal = frozenset(range(g.n)) - threat.malicious
     if not normal:
         raise ValueError("at least one normal agent is required")
@@ -329,37 +328,33 @@ def simulate(
     # One trace buffer, grown and finally cut in place (ndarray.resize reallocs).
     states = np.empty((min(max_steps, 8) + 1, g.n))
     states[0] = x0
-    lo = float(min(x0[i] for i in idx))
-    hi = float(max(x0[i] for i in idx))
-    converged_at = 0 if hi - lo < tol else None
     t = 0
-    while converged_at is None and t < max_steps:
-        t += 1
-        if t == len(states):  # refcheck=False: no view of states is alive here
-            states.resize((min(max_steps + 1, t + 1 + t // 8), g.n), refcheck=False)
-        nxt = _wmsr_update(states[t - 1], table, threat.f)
+    while True:
         for m in threat.malicious:
             value = float(threat.behaviors[m](t))
             if not math.isfinite(value):
                 raise ValueError(f"behavior of vertex {m} gave non-finite value {value!r} at t={t}")
-            nxt[m] = value
-        states[t] = nxt
-        ns = nxt[idx]
+            states[t, m] = value
+        ns = states[t, idx]
         if not np.isfinite(ns).all():
-            raise ValueError(f"W-MSR update gave a non-finite normal state at t={t}")
-        if float(ns.max() - ns.min()) < tol:
-            converged_at = t
+            raise ValueError(f"W-MSR update gave a non-finite normal state at t={t}" if t
+                             else "initial states must be finite numbers")
+        converged = float(ns.max() - ns.min()) < tol
+        if converged or t == max_steps:
+            break
+        t += 1
+        if t == len(states):  # refcheck=False: no view of states is alive here
+            states.resize((min(max_steps + 1, t + 1 + t // 8), g.n), refcheck=False)
+        states[t] = _wmsr_update(states[t - 1], table, threat.f)
     states.resize((t + 1, g.n), refcheck=False)
-    consensus_value = None
-    if converged_at is not None:
-        consensus_value = float(states[converged_at][idx].mean())
+    first = states[0, idx].tolist()  # Python's min keeps the first of 0.0 and -0.0; np.min may not
     return SimulationTrace(
         states=states,
         normal=normal,
         malicious=threat.malicious,
-        converged_at=converged_at,
-        consensus_value=consensus_value,
-        safety_interval=(lo, hi),
+        converged_at=t if converged else None,
+        consensus_value=float(ns.mean()) if converged else None,
+        safety_interval=(min(first), max(first)),
     )
 
 

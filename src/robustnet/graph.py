@@ -144,8 +144,9 @@ class Graph:
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Build a graph from unordered vertex pairs; duplicate pairs collapse."""
-    rows = [0] * check_int(n, "vertex count", 1)
+    """Build a graph on n <= MAX_VERTICES vertices from unordered pairs; duplicates collapse."""
+    _check_vertex_count(check_int(n, "vertex count", 1))
+    rows = [0] * n
     for pair in edges:
         u, v = pair
         if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):

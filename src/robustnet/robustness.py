@@ -278,8 +278,9 @@ def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:
     vertices it must contain a floor((r+4)/2)-clique and an (r+1)-vertex
     induced subgraph with at least floor((r^2+2)/2) edges.  The caller is
     expected to pass a graph already certified r-robust; the checks here are
-    unconditional searches reported with witnesses.
+    unconditional searches reported with witnesses.  Limited to n <= MAX_EXACT_N.
     """
+    check_exact_n(g.n, "check_structural_lemmas")
     if g.n == 2 * check_int(r, "robustness level", 1) - 1:
         clique = max_clique(g)
         checks = (LemmaCheck("clique", r + 1, len(clique), clique),)

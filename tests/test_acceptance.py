@@ -124,8 +124,6 @@ def _consensus_study(g, trials=100):
                        for k, m in enumerate(sorted(malicious))},
         )
         initial = [rng.uniform(-100.0, 100.0) for _ in range(g.n)]
-        for m in malicious:
-            initial[m] = threat.behaviors[m](0)
         trace = simulate(g, threat, initial, max_steps=500, tol=1e-6)
         verdict = check_validity(trace)
         if verdict.agreement and verdict.validity:

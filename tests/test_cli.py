@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from robustnet import MAX_EXACT_N, MAX_VERTICES, graph_to_json_dict, load_graph, new_graph
+from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, graph_to_json_dict, load_graph,
+                       new_graph)
 from robustnet.cli import _build_parser, main
 
 from oracles import DEFAULT_SWEEP_SHA256
@@ -241,15 +242,38 @@ def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
     assert not (tmp_path / "nan.verdict.json").exists()
 
 
-def test_simulate_rejects_bool_malicious_vertex(tmp_path, capsys):
-    # numpy would read initial[True] as every agent, so all would start at 150
+def test_simulate_validates_the_threat_once(tmp_path, monkeypatch):
     graph_file = tmp_path / "g5.edges"
     main(["construct", "--kind", "sparsest-odd", "--r", "3",
           "--output", str(graph_file), "--quiet"])
-    threat_file = write_threat(tmp_path / "threat.json", scope="F-total", f=1, malicious=(True,))
+    threat_file = write_threat(tmp_path / "threat.json", f=1, malicious=(0,))
+    calls = []
+    validate = ThreatModel.validate
+
+    def counted(threat, g):
+        calls.append(g.n)
+        return validate(threat, g)
+
+    monkeypatch.setattr(ThreatModel, "validate", counted)
+    main(["simulate", str(graph_file), "--threat", str(threat_file),
+          "--out-prefix", str(tmp_path / "run"), "--quiet"])
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("malicious, message", [
+    # numpy would read initial[True] as every agent, so all would start at 150
+    ((True,), "malicious vertex"),
+    # only simulate checks the threat against the graph, before anything is written
+    ((12,), "malicious vertex 12 out of range"),
+], ids=["bool", "out-of-range"])
+def test_simulate_rejects_bad_malicious_vertex(tmp_path, capsys, malicious, message):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3",
+          "--output", str(graph_file), "--quiet"])
+    threat_file = write_threat(tmp_path / "threat.json", scope="F-total", f=1, malicious=malicious)
     assert main(["simulate", str(graph_file), "--threat", str(threat_file),
                  "--out-prefix", str(tmp_path / "run")]) == 2
-    assert "malicious vertex" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run.verdict.json").exists()
 
 

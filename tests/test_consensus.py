@@ -378,7 +378,17 @@ def test_simulate_outlier_broadcaster_is_ignored():
     assert normal_states.min() >= 0.0 - 1e-9
     assert normal_states.max() <= 10.0 + 1e-9
     # the malicious column pins to its trajectory
-    assert np.all(trace.states[1:, 2] == 1000.0)
+    assert np.all(trace.states[:, 2] == 1000.0)
+
+
+def test_simulate_sets_malicious_states_from_t0():
+    # a malicious agent follows its trajectory at t = 0 too; its entry of initial is ignored
+    threat = ThreatModel("F-total", 1, frozenset({3}), {3: linear_ramp(10.0, 5.0)})
+    trace = simulate(cycle_graph(4), threat, [-50.0, 0.0, 50.0, math.nan], max_steps=5)
+    assert trace.states[:, 3].tolist() == [10.0 + 5.0 * t for t in range(6)]
+    assert trace.safety_interval == (-50.0, 50.0)
+    agreeing = simulate(cycle_graph(4), threat, [-50.0, 0.0, 50.0, 10.0], max_steps=5)
+    assert np.array_equal(trace.states, agreeing.states)
 
 
 def test_simulate_below_threshold_robustness_fails():
@@ -482,8 +492,6 @@ def test_containment_in_previous_step_hull():
             {v: random_walk(rng.uniform(-50, 50), 3.0, rng.randrange(999)) for v in malicious},
         )
         initial = [rng.uniform(-100, 100) for _ in range(g.n)]
-        for m in malicious:
-            initial[m] = threat.behaviors[m](0)
         trace = simulate(g, threat, initial, max_steps=40, tol=1e-12)
         normal = sorted(trace.normal)
         for t in range(1, trace.states.shape[0]):
@@ -539,8 +547,6 @@ def test_wmsr_runs_stay_in_normal_hull_on_robust_graphs(data):
                          {m: behavior_from_spec(spec) for m, spec in zip(malicious, specs)})
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     initial = [rng.uniform(-100, 100) for _ in range(g.n)]
-    for m in malicious:
-        initial[m] = threat.behaviors[m](0)
     assert check_validity(simulate(g, threat, initial, max_steps=200)).validity
 
 

@@ -307,7 +307,8 @@ def test_recipe_json_round_trip_property(recipe):
     lambda: f_elemental(MAX_VERTICES // 4, "complete"),
     lambda: erdos_renyi(MAX_VERTICES + 1, 0.5, 1),
     lambda: tree_graph(10**9),
-], ids=["sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree"])
+    lambda: new_graph(MAX_VERTICES + 1),
+], ids=["sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree", "new-graph"])
 def test_builders_refuse_vertex_counts_above_max_vertices(build_over_limit):
     with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
         build_over_limit()

@@ -11,6 +11,7 @@ import robustnet.experiment
 from robustnet import (
     MAX_EXACT_N,
     ExperimentConfig,
+    check_structural_lemmas,
     derive_seed,
     edge_lower_bound,
     erdos_renyi,
@@ -228,6 +229,12 @@ def test_default_sweep_goldens():
         == DEFAULT_SWEEP_SHA256["records.csv"]
     assert hashlib.sha256(summary_to_csv_text(summary).encode()).hexdigest() \
         == DEFAULT_SWEEP_SHA256["summary.csv"]
+    # the paper's necessary conditions hold on every accepted random graph
+    for row in records:
+        if row.accepted:
+            g = erdos_renyi(row.n, row.p, row.seed)
+            assert g.edge_count == row.edge_count >= edge_lower_bound(row.n, row.r).bound
+            assert row.r < 2 or check_structural_lemmas(g, row.r).all_passed
 
 
 def test_chunks_stay_within_one_certification_at_the_limit(monkeypatch):

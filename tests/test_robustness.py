@@ -411,3 +411,5 @@ def test_structural_checks_wrong_n():
         check_structural_lemmas(complete_graph(6), 2)  # n=6 not in {3, 4}
     with pytest.raises(ValueError):
         check_structural_lemmas(complete_graph(5), 0)
+    with pytest.raises(ValueError, match=f"limit of {MAX_EXACT_N}"):
+        check_structural_lemmas(sparsest_odd(11), 11)  # n=21
