@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .graph import Graph, bits, check_fields, check_int, check_number
+from .graph import MAX_VERTICES, Graph, bits, check_fields, check_int, check_number
 
 Behavior = Callable[[int], float]
 
@@ -36,6 +36,10 @@ SCOPES = (F_TOTAL, F_LOCAL)
 
 # check_validity's slack on each side of the safety interval, for rounding in the averages
 HULL_TOL = 1e-9
+
+# Most states a trace may hold, (max_steps + 1) * n: those of MAX_VERTICES
+# agents over 500 steps, about 66 MB of float64.
+MAX_TRACE_STATES = 501 * MAX_VERTICES
 
 # ---------------------------------------------------------------------------
 # Misbehavior trajectory library (all broadcast the same value to everyone)
@@ -313,9 +317,10 @@ def simulate(
     recorded as converged_at, or after max_steps updates.  The safety
     interval is the closed hull of the normal agents' initial states.  A
     non-finite normal initial state, trajectory value or updated normal
-    state (a sum of huge states can overflow) raises ValueError.
+    state (a sum of huge states can overflow) raises ValueError, as does
+    a max_steps whose trace could exceed MAX_TRACE_STATES states.
     """
-    check_int(max_steps, "max_steps", 1)
+    check_int(max_steps, "max_steps", 1, MAX_TRACE_STATES // g.n - 1)
     if not check_number(tol, "tolerance") > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     threat.validate(g)

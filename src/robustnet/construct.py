@@ -23,7 +23,6 @@ from typing import Optional
 from .graph import Graph, _check_vertex_count, check_fields, check_int, check_number, new_graph
 
 TREE_SHAPES = ("path", "star", "random")
-TAIL_SHAPES = ("path", "star", "random", "complete")
 
 
 def _hub_graph(n: int, hubs: int, toggled=()) -> Graph:
@@ -41,8 +40,8 @@ def _hub_graph(n: int, hubs: int, toggled=()) -> Graph:
 def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[int, int]]:
     """Uniform random labeled tree on the given vertices (Pruefer decode)."""
     k = len(vertices)
-    if k == 2:
-        return [(vertices[0], vertices[1])]
+    if k < 2:
+        return []
     seq = [rng.randrange(k) for _ in range(k - 2)]
     degree = [1] * k
     for s in seq:
@@ -63,8 +62,7 @@ def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[in
 
 
 def _tree_edges(vertices: list[int], shape: str, seed: Optional[int]) -> list[tuple[int, int]]:
-    if len(vertices) <= 1:
-        return []
+    """Edges of a tree of the given shape; shape and seed are checked even on one vertex."""
     if shape == "path":
         return list(zip(vertices, vertices[1:]))
     if shape == "star":
@@ -100,24 +98,6 @@ def sparsest_even(r: int) -> Graph:
     return _hub_graph(n, r, [(k, k + 1) for k in range(0, delta, 2)])
 
 
-def f_elemental(f: int, tail_shape: str = "path", seed: Optional[int] = None) -> Graph:
-    """Hub-plus-connected-tail graph on 4f+1 vertices, (2f+1)-robust.
-
-    2f hub vertices are adjacent to everything and the remaining 2f+1
-    vertices form a connected subgraph of the requested shape.  The tail may
-    be denser than a tree (e.g. "complete"), so unlike :func:`sparsest_odd`
-    the result is not edge-minimal in general.
-    """
-    check_int(f, "hub budget", 1)
-    if tail_shape not in TAIL_SHAPES:
-        raise ValueError(f"tail shape must be one of {TAIL_SHAPES}, got {tail_shape!r}")
-    n = 4 * f + 1
-    _check_vertex_count(n)
-    if tail_shape == "complete":  # every vertex is then a hub
-        return _hub_graph(n, n)
-    return _hub_graph(n, 2 * f, _tree_edges(list(range(2 * f, n)), tail_shape, seed))
-
-
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p) sample.
 
@@ -149,8 +129,6 @@ def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> 
 _KINDS = {
     "sparsest-odd": (sparsest_odd, "r", True),
     "sparsest-even": (sparsest_even, "r", False),
-    "f-elemental": (lambda r, tree_shape="path", seed=None: f_elemental((r - 1) // 2, tree_shape, seed),
-                    "r", True),
     "erdos-renyi": (erdos_renyi, "n", False),
     "tree": (tree_graph, "n", True),
 }
@@ -162,9 +140,8 @@ class ConstructionRecipe:
     """Declarative description of a graph to build, serializable as JSON,
     checked when it is made.
 
-    kind selects the builder; r parameterizes the extremal families (for
-    f-elemental, r must be odd and the hub budget is (r-1)/2); n/p/seed
-    parameterize the random kinds.  A seed is required exactly when the
+    kind selects the builder; r parameterizes the extremal families and
+    n/p/seed the random kinds.  A seed is required exactly when the
     build is randomized (erdos-renyi, or a random tree shape) and rejected
     otherwise, so every randomized artifact records its own replay key.
     """
@@ -184,8 +161,6 @@ class ConstructionRecipe:
         if getattr(self, size) is None or getattr(self, other) is not None:
             raise ValueError(f"{self.kind} recipe takes {size}, not {other}")
         check_int(getattr(self, size), size, 1)
-        if self.kind == "f-elemental" and (self.r < 3 or self.r % 2 == 0):
-            raise ValueError(f"f-elemental robustness must be odd and >= 3, got {self.r}")
         if self.kind == "erdos-renyi":
             if self.p is None:
                 raise ValueError("erdos-renyi recipe requires p")

@@ -311,10 +311,6 @@ def write_edge_list(g: Graph, path) -> None:
     Path(path).write_text(format_edge_list(g))
 
 
-def read_edge_list(path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
-
-
 def load_graph(path) -> Graph:
     """Read a graph file in either edge-list or JSON form (sniffed by content).
 

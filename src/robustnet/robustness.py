@@ -225,12 +225,11 @@ def max_robustness(g: Graph) -> RobustnessCertificate:
     enumeration order that attains it, which is the pair is_r_robust reports
     at level r_max + 1, so certificates are reproducible.
     """
-    if g.n == 1:
-        # No disjoint nonempty pair exists; adopt the ceil(n/2) ceiling.
-        return RobustnessCertificate(r_max=1, witness=None, pairs_examined=0)
     check_exact_n(g.n, "exact certification")
     reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
-    r_max = int(pair.min())
+    # The ceil(n/2) ceiling binds only at n = 1, where no disjoint nonempty
+    # pair exists and every pair entry is _NONE.
+    r_max = min(int(pair.min()), (g.n + 1) // 2)
     return RobustnessCertificate(
         r_max=r_max,
         witness=_masks_to_witness(_violating_pair(reach, best, pair, r_max)),
@@ -250,10 +249,9 @@ def robustness_levels(graphs) -> list[int]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("robustness_levels needs graphs with one vertex count")
-    if n == 1:
-        return [1] * len(graphs)
     check_exact_n(n, "exact certification")
-    return _subset_tables([g.rows for g in graphs])[2].min(axis=1).tolist()
+    levels = _subset_tables([g.rows for g in graphs])[2].min(axis=1)
+    return np.minimum(levels, (n + 1) // 2).tolist()
 
 
 def edge_lower_bound(n: int, r: int) -> BoundReport:

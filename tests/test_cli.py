@@ -96,6 +96,16 @@ def test_construct_invalid_recipe(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_construct_refuses_removed_kind(tmp_path, capsys):
+    # an F-elemental graph with a tree tail is sparsest-odd with r = 2F + 1
+    out = tmp_path / "h.edges"
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "--kind", "f-elemental", "--r", "5", "--output", str(out)])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_construction(tmp_path, capsys):
     graph_file = tmp_path / "g.edges"
     main(["construct", "--kind", "sparsest-odd", "--r", "3",
@@ -217,6 +227,17 @@ def test_simulate_under_robust_graph_exits_1_but_writes(tmp_path, capsys):
     assert (tmp_path / "weak.json").exists()
     verdict = json.loads((tmp_path / "weak.verdict.json").read_text())
     assert not (verdict["agreement"] and verdict["validity"])
+
+
+def test_simulate_refuses_steps_above_the_trace_bound(tmp_path, capsys):
+    graph_file = tmp_path / "c4.edges"
+    graph_file.write_text("4\n0 1\n1 2\n2 3\n0 3\n")
+    threat_file = write_threat(tmp_path / "threat.json", f=0, malicious=())
+    prefix = tmp_path / "long"
+    assert main(["simulate", str(graph_file), "--threat", str(threat_file),
+                 "--steps", str(501 * MAX_VERTICES), "--out-prefix", str(prefix)]) == 2
+    assert "max_steps" in capsys.readouterr().err
+    assert not (tmp_path / "long.csv").exists()
 
 
 def test_simulate_threat_violation_names_condition(tmp_path, capsys):

@@ -12,7 +12,6 @@ from robustnet import (
     build,
     edge_lower_bound,
     erdos_renyi,
-    f_elemental,
     format_edge_list,
     max_robustness,
     new_graph,
@@ -104,18 +103,6 @@ def test_alternative_pair_choices_also_work():
         assert max_robustness(g).r_max == r
 
 
-def test_f_elemental():
-    assert set(f_elemental(1).edges()) == set(sparsest_odd(3).edges())
-    assert max_robustness(f_elemental(2)).r_max == 5
-    k5 = f_elemental(1, "complete")
-    assert k5.edge_count == 10  # denser than the minimal construction
-    assert max_robustness(k5).r_max == 3
-    with pytest.raises(ValueError):
-        f_elemental(0)
-    with pytest.raises(ValueError):
-        f_elemental(1, "loop")
-
-
 def test_erdos_renyi_extremes():
     assert erdos_renyi(5, 0.0, 1).edge_count == 0
     assert erdos_renyi(5, 1.0, 1).edge_count == 10
@@ -144,7 +131,6 @@ def test_builders_refuse_bool_and_non_numbers():
     for build_bad in (
         lambda: sparsest_odd(True),
         lambda: sparsest_even(True),
-        lambda: f_elemental(True),
         lambda: tree_graph(True),
         lambda: erdos_renyi(5, True, 1),
         lambda: erdos_renyi(5, "0.5", 1),
@@ -161,7 +147,6 @@ def test_builders_check_their_seeds(seed):
         lambda: erdos_renyi(5, 0.5, seed),
         lambda: tree_graph(5, "random", seed),
         lambda: sparsest_odd(3, "random", seed),
-        lambda: f_elemental(1, "random", seed),
     ):
         with pytest.raises(ValueError, match="seed must be an integer"):
             build_bad()
@@ -209,11 +194,21 @@ def test_tree_graph_shapes():
         tree_graph(4, "random")  # seed required
 
 
+def test_builders_check_tree_shape_and_seed_at_every_size():
+    for build_bad in (
+        lambda: sparsest_odd(3, "loop"),
+        lambda: sparsest_odd(1, "loop"),
+        lambda: tree_graph(1, "loop"),
+        lambda: tree_graph(1, "random"),  # seed required, as for any size
+    ):
+        with pytest.raises(ValueError):
+            build_bad()
+
+
 def test_recipe_validation():
     ConstructionRecipe(kind="sparsest-odd", r=3)
     ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=1)
     ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=2)
-    ConstructionRecipe(kind="f-elemental", r=5)
 
 
 _ER = dict(kind="erdos-renyi", n=5, p=0.5, seed=1)
@@ -231,7 +226,6 @@ _BAD_RECIPES = [
     (_ER, dict(p=2.0)),
     (_RANDOM_TREE, dict(seed=None)),
     (dict(kind="tree", n=5), dict(tree_shape="zigzag")),
-    (dict(kind="f-elemental", r=5), dict(r=4)),  # must be odd
     (dict(kind="sparsest-odd", r=3), dict(r=0)),
     (dict(kind="sparsest-even", r=2), dict(r=True)),
     (dict(kind="tree", n=5), dict(n=True)),
@@ -286,8 +280,6 @@ def _recipes():
         st.builds(lambda r, ts: ConstructionRecipe("sparsest-odd", r=r, tree_shape=ts[0], seed=ts[1]),
                   sizes, shaped),
         st.builds(lambda r: ConstructionRecipe("sparsest-even", r=r), sizes),
-        st.builds(lambda f, ts: ConstructionRecipe("f-elemental", r=2 * f + 1, tree_shape=ts[0], seed=ts[1]),
-                  sizes, shaped),
         st.builds(lambda n, p, seed: ConstructionRecipe("erdos-renyi", n=n, p=p, seed=seed),
                   sizes, st.floats(0.0, 1.0), st.integers(-2**70, 2**70)),
         st.builds(lambda n, ts: ConstructionRecipe("tree", n=n, tree_shape=ts[0], seed=ts[1]),
@@ -304,11 +296,10 @@ def test_recipe_json_round_trip_property(recipe):
 @pytest.mark.parametrize("build_over_limit", [
     lambda: sparsest_odd(MAX_VERTICES // 2 + 1),
     lambda: sparsest_even(MAX_VERTICES // 2 + 1),
-    lambda: f_elemental(MAX_VERTICES // 4, "complete"),
     lambda: erdos_renyi(MAX_VERTICES + 1, 0.5, 1),
     lambda: tree_graph(10**9),
     lambda: new_graph(MAX_VERTICES + 1),
-], ids=["sparsest-odd", "sparsest-even", "f-elemental", "erdos-renyi", "tree", "new-graph"])
+], ids=["sparsest-odd", "sparsest-even", "erdos-renyi", "tree", "new-graph"])
 def test_builders_refuse_vertex_counts_above_max_vertices(build_over_limit):
     with pytest.raises(ValueError, match=f"limit of {MAX_VERTICES}"):
         build_over_limit()
@@ -325,7 +316,6 @@ def test_build_dispatch():
     cases = [
         (ConstructionRecipe(kind="sparsest-odd", r=4), sparsest_odd(4)),
         (ConstructionRecipe(kind="sparsest-even", r=3), sparsest_even(3)),
-        (ConstructionRecipe(kind="f-elemental", r=5), f_elemental(2)),
         (ConstructionRecipe(kind="erdos-renyi", n=8, p=0.6, seed=9), erdos_renyi(8, 0.6, 9)),
         (ConstructionRecipe(kind="tree", n=6, tree_shape="star"), tree_graph(6, "star")),
     ]

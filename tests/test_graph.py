@@ -19,7 +19,6 @@ from robustnet import (
     max_clique,
     new_graph,
     parse_edge_list,
-    read_edge_list,
     sparsest_even,
     write_edge_list,
 )
@@ -360,7 +359,6 @@ def test_loaders_reject_vertex_counts_above_max_vertices(tmp_path):
         loads = (
             lambda: parse_edge_list(edge_file.read_text()),
             lambda: graph_from_json_dict(json.loads(json_file.read_text())),
-            lambda: read_edge_list(edge_file),
             lambda: load_graph(edge_file),
             lambda: load_graph(json_file),
         )
