@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, _check_vertex_count, check_fields, check_int, check_number, new_graph
+from .graph import Graph, check_fields, check_int, check_number, check_vertex_count
 
 TREE_SHAPES = ("path", "star", "random")
 
@@ -62,14 +62,17 @@ def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[in
 
 
 def _tree_edges(vertices: list[int], shape: str, seed: Optional[int]) -> list[tuple[int, int]]:
-    """Edges of a tree of the given shape; shape and seed are checked even on one vertex."""
-    if shape == "path":
-        return list(zip(vertices, vertices[1:]))
-    if shape == "star":
-        return [(vertices[0], v) for v in vertices[1:]]
+    """Edges of a tree of the given shape; shape and seed are checked even on one
+    vertex, and a seed is refused where the shape would ignore it."""
+    if shape not in TREE_SHAPES:
+        raise ValueError(f"unknown tree shape {shape!r}")
     if shape == "random":
         return _random_tree_edges(vertices, random.Random(check_int(seed, "seed", None)))
-    raise ValueError(f"unknown tree shape {shape!r}")
+    if seed is not None:
+        raise ValueError(f"seed only applies to the random tree shape, not {shape!r}")
+    if shape == "path":
+        return list(zip(vertices, vertices[1:]))
+    return [(vertices[0], v) for v in vertices[1:]]
 
 
 def sparsest_odd(r: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:
@@ -79,8 +82,7 @@ def sparsest_odd(r: int, tree_shape: str = "path", seed: Optional[int] = None) -
     vertices form a tree of the requested shape.  Any tree shape yields the
     same edge count, 3r(r-1)/2, and the same certified robustness r.
     """
-    n = 2 * check_int(r, "robustness level", 1) - 1
-    _check_vertex_count(n)
+    n = check_vertex_count(2 * check_int(r, "robustness level", 1) - 1)
     return _hub_graph(n, r - 1, _tree_edges(list(range(r - 1, n)), tree_shape, seed))
 
 
@@ -92,8 +94,7 @@ def sparsest_even(r: int) -> Graph:
     consecutive pairs 0-1, 2-3, ... and each pair's connecting edge is
     removed, leaving exactly floor((r(3r-2)+2)/2) edges.
     """
-    n = 2 * check_int(r, "robustness level", 1)
-    _check_vertex_count(n)
+    n = check_vertex_count(2 * check_int(r, "robustness level", 1))
     delta = r - 1 if r % 2 else r - 2
     return _hub_graph(n, r, [(k, k + 1) for k in range(0, delta, 2)])
 
@@ -105,7 +106,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     consumes exactly one uniform draw from random.Random(seed), so identical
     (n, p, seed) triples reproduce identical edge lists byte for byte.
     """
-    _check_vertex_count(check_int(n, "vertex count", 1))
+    check_vertex_count(n)
     if not 0.0 <= check_number(p, "edge probability") <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
     rows = [0] * n
@@ -120,17 +121,16 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:
     """Tree on n vertices: a path, a star, or a seeded uniform random tree."""
-    _check_vertex_count(check_int(n, "vertex count", 1))
-    return new_graph(n, _tree_edges(list(range(n)), tree_shape, seed))
+    return _hub_graph(check_vertex_count(n), 0, _tree_edges(list(range(n)), tree_shape, seed))
 
 
-# kind -> (builder, size field, takes a tree shape); build passes the builder
-# the recipe's set fields by name
+# kind -> (builder, size field, takes a tree shape, vertex count of a size);
+# build passes the builder the recipe's set fields by name
 _KINDS = {
-    "sparsest-odd": (sparsest_odd, "r", True),
-    "sparsest-even": (sparsest_even, "r", False),
-    "erdos-renyi": (erdos_renyi, "n", False),
-    "tree": (tree_graph, "n", True),
+    "sparsest-odd": (sparsest_odd, "r", True, lambda r: 2 * r - 1),
+    "sparsest-even": (sparsest_even, "r", False, lambda r: 2 * r),
+    "erdos-renyi": (erdos_renyi, "n", False, lambda n: n),
+    "tree": (tree_graph, "n", True, lambda n: n),
 }
 KINDS = tuple(_KINDS)
 
@@ -156,11 +156,11 @@ class ConstructionRecipe:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"recipe kind must be one of {KINDS}, got {self.kind!r}")
-        _, size, shaped = _KINDS[self.kind]
+        _, size, shaped, vertex_count = _KINDS[self.kind]
         other = "n" if size == "r" else "r"
         if getattr(self, size) is None or getattr(self, other) is not None:
             raise ValueError(f"{self.kind} recipe takes {size}, not {other}")
-        check_int(getattr(self, size), size, 1)
+        check_vertex_count(vertex_count(check_int(getattr(self, size), size, 1)))
         if self.kind == "erdos-renyi":
             if self.p is None:
                 raise ValueError("erdos-renyi recipe requires p")

@@ -23,8 +23,8 @@ import numpy as np
 MAX_VERTICES = 1 << 14
 
 # The only limit of the exact searches over all 2^n vertex subsets (the
-# certifier and densest_subset_of_size): 2^20 subsets at about 6 B each,
-# roughly 6 MB.
+# certifier, densest_subset_of_size and max_clique): the tables of the first
+# two hold 2^20 subsets at about 6 B each, roughly 6 MB.
 MAX_EXACT_N = 20
 
 _FLOAT_MAX = sys.float_info.max
@@ -143,10 +143,16 @@ class Graph:
         check_int(v, "vertex", 0, self.n - 1)
 
 
+def check_vertex_count(n) -> int:
+    """n, if it is an int in 1..MAX_VERTICES; checked before anything is sized by it."""
+    if check_int(n, "vertex count", 1) > MAX_VERTICES:
+        raise ValueError(f"graph declares {n} nodes, above the limit of {MAX_VERTICES}")
+    return n
+
+
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     """Build a graph on n <= MAX_VERTICES vertices from unordered pairs; duplicates collapse."""
-    _check_vertex_count(check_int(n, "vertex count", 1))
-    rows = [0] * n
+    rows = [0] * check_vertex_count(n)
     for pair in edges:
         u, v = pair
         if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
@@ -161,41 +167,28 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
 
 
 def max_clique(g: Graph) -> frozenset[int]:
-    """Exact maximum clique via Bron-Kerbosch with pivoting on bitsets.
+    """Exact maximum clique by branch and bound (Carraghan & Pardalos, 1990).
 
-    Among all maximum cliques the one with the lexicographically smallest
-    sorted vertex tuple is returned, so results are stable across runs and
-    usable in golden tests.  Exponential in the worst case; intended for the
-    n <= 20 range the rest of this package operates in.
+    Cliques grow from the lowest remaining candidate, so they are met in
+    lexicographic order of their sorted vertex tuples.  A branch stops once
+    its clique plus all its candidates cannot beat the best size, and only a
+    strictly larger clique replaces the best, so among all maximum cliques
+    the lexicographically smallest is returned.  Limited to n <= MAX_EXACT_N.
     """
+    check_exact_n(g.n, "max_clique")
     rows = g.rows
-    best: tuple[int, ...] = ()
+    best: list[int] = []
 
-    def expand(chosen: list[int], cand: int, excl: int) -> None:
-        nonlocal best
-        if not cand and not excl:
-            key = tuple(sorted(chosen))
-            if len(key) > len(best) or (len(key) == len(best) and key < best):
-                best = key
-            return
-        # strict inequality: equal-size cliques still explored for the tie-break
-        if len(chosen) + cand.bit_count() < len(best):
-            return
-        pivot = -1
-        pivot_score = -1
-        for u in bits(cand | excl):
-            score = (cand & rows[u]).bit_count()
-            if score > pivot_score:
-                pivot, pivot_score = u, score
-        for v in bits(cand & ~rows[pivot]):
-            bit = 1 << v
-            chosen.append(v)
-            expand(chosen, cand & rows[v], excl & rows[v])
-            chosen.pop()
-            cand &= ~bit
-            excl |= bit
+    def grow(chosen: list[int], cand: int) -> None:
+        if len(chosen) > len(best):
+            best[:] = chosen
+        while cand and len(chosen) + cand.bit_count() > len(best):
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            grow(chosen + [v], cand & rows[v])
 
-    expand([], g.full_mask, 0)
+    grow([], g.full_mask)
     return frozenset(best)
 
 
@@ -206,11 +199,11 @@ def induced_edge_count(g: Graph, members: Iterable[int]) -> int:
 
 
 def check_exact_n(n: int, what: str) -> None:
-    """Refuse n above MAX_EXACT_N before any 2^n table is built."""
+    """Refuse n above MAX_EXACT_N before any search or 2^n table starts."""
     if n > MAX_EXACT_N:
         raise ValueError(
-            f"{what} builds tables over all 2^n vertex subsets "
-            f"(about 6 bytes each); n={n} exceeds the supported limit of {MAX_EXACT_N}"
+            f"{what} searches all 2^n vertex subsets; "
+            f"n={n} exceeds the supported limit of {MAX_EXACT_N}"
         )
 
 
@@ -258,12 +251,6 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_vertex_count(n) -> None:
-    """Reject a declared vertex count above MAX_VERTICES before anything is sized by it."""
-    if isinstance(n, int) and n > MAX_VERTICES:
-        raise ValueError(f"graph declares {n} nodes, above the limit of {MAX_VERTICES}")
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, blank lines are skipped.
 
@@ -283,8 +270,7 @@ def parse_edge_list(text: str) -> Graph:
         if n is None:
             if len(values) != 1:
                 raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
-            n = values[0]
-            _check_vertex_count(n)
+            n = check_vertex_count(values[0])
         elif len(values) == 2:
             edges.append((values[0], values[1]))
         else:
@@ -301,7 +287,7 @@ def graph_to_json_dict(g: Graph) -> dict:
 def graph_from_json_dict(data: dict) -> Graph:
     check_fields(data, "graph JSON", ("n", "edges"))
     n, edges = data["n"], data["edges"]
-    _check_vertex_count(n)
+    check_vertex_count(n)
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValueError("graph JSON 'edges' must be an array of [u, v] arrays")
     return new_graph(n, edges)

@@ -302,11 +302,12 @@ def has_clique_of_size(g, k):
     )
 
 
-def oracle_max_clique_size(g):
-    for k in range(g.n, 1, -1):
-        if has_clique_of_size(g, k):
-            return k
-    return 1
+def oracle_max_clique(g):
+    """The first clique in itertools.combinations order at the largest size."""
+    for k in range(g.n, 0, -1):
+        for combo in combinations(range(g.n), k):
+            if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+                return frozenset(combo)
 
 
 def random_graph(rng, n, p):

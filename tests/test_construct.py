@@ -200,6 +200,8 @@ def test_builders_check_tree_shape_and_seed_at_every_size():
         lambda: sparsest_odd(1, "loop"),
         lambda: tree_graph(1, "loop"),
         lambda: tree_graph(1, "random"),  # seed required, as for any size
+        lambda: sparsest_odd(3, "path", seed=5),  # a seed the shape would ignore
+        lambda: tree_graph(4, "star", seed=[1]),
     ):
         with pytest.raises(ValueError):
             build_bad()
@@ -233,6 +235,11 @@ _BAD_RECIPES = [
     (_ER, dict(p="0.5")),
     (_ER, dict(seed=True)),
     (_RANDOM_TREE, dict(seed=1.0)),
+    # one past the vertex count the build accepts
+    (dict(kind="sparsest-odd", r=3), dict(r=MAX_VERTICES // 2 + 1)),
+    (dict(kind="sparsest-even", r=2), dict(r=MAX_VERTICES // 2 + 1)),
+    (_ER, dict(n=MAX_VERTICES + 1)),
+    (dict(kind="tree", n=5), dict(n=MAX_VERTICES + 1)),
 ]
 
 
@@ -275,7 +282,7 @@ def _recipes():
         st.tuples(st.sampled_from([None, "path", "star"]), st.none()),
         st.tuples(st.just("random"), st.integers(-2**70, 2**70)),
     )
-    sizes = st.integers(1, 10**6)
+    sizes = st.integers(1, MAX_VERTICES // 2)  # every kind builds at most 2 * size vertices
     return st.one_of(
         st.builds(lambda r, ts: ConstructionRecipe("sparsest-odd", r=r, tree_shape=ts[0], seed=ts[1]),
                   sizes, shaped),
@@ -310,6 +317,17 @@ def test_sparsest_even_at_max_vertices():
     g = sparsest_even(r)
     assert g.n == MAX_VERTICES
     assert g.edge_count == (r * (3 * r - 2) + 2) // 2
+
+
+def test_recipes_build_at_the_vertex_limit():
+    for recipe in (
+        ConstructionRecipe(kind="sparsest-odd", r=MAX_VERTICES // 2),  # 2r - 1 vertices
+        ConstructionRecipe(kind="sparsest-even", r=MAX_VERTICES // 2),
+        ConstructionRecipe(kind="tree", n=MAX_VERTICES, tree_shape="random", seed=1),
+    ):
+        assert build(recipe).n >= MAX_VERTICES - 1
+    # G(n, p) at the limit draws n(n - 1)/2 numbers, so only its recipe is made
+    ConstructionRecipe(kind="erdos-renyi", n=MAX_VERTICES, p=0.5, seed=1)
 
 
 def test_build_dispatch():

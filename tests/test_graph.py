@@ -20,6 +20,7 @@ from robustnet import (
     new_graph,
     parse_edge_list,
     sparsest_even,
+    sparsest_odd,
     write_edge_list,
 )
 from robustnet.graph import check_fields, check_int, check_number
@@ -30,7 +31,7 @@ from oracles import (
     has_clique_of_size,
     loop_densest_subset,
     oracle_densest_subset,
-    oracle_max_clique_size,
+    oracle_max_clique,
     path_graph,
     random_graph,
     small_graphs,
@@ -174,12 +175,11 @@ def test_max_clique_is_pairwise_adjacent():
 
 
 def test_max_clique_matches_exhaustive_scan():
+    # the same clique, not only the same size: the lexicographically first maximum one
     rng = random.Random(37)
-    for _ in range(20):
+    for _ in range(220):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
-        size = len(max_clique(g))
-        assert size == oracle_max_clique_size(g)
-        assert not has_clique_of_size(g, size + 1)
+        assert max_clique(g) == oracle_max_clique(g)
     # a couple at the n = 12 end
     for seed in (1, 2):
         g = random_graph(random.Random(seed), 12, 0.6)
@@ -197,6 +197,13 @@ def test_max_clique_matches_networkx(g):
     clique = max_clique(g)
     assert len(clique) == max(len(c) for c in nx.find_cliques(G))
     assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
+
+
+def test_max_clique_refuses_n_above_exact_limit():
+    # refused before any search, however easy or hard the graph
+    for g in (new_graph(MAX_EXACT_N + 1), sparsest_odd(1000)):
+        with pytest.raises(ValueError, match=f"limit of {MAX_EXACT_N}"):
+            max_clique(g)
 
 
 def test_max_clique_lexicographic_tie_break():
