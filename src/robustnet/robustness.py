@@ -16,11 +16,16 @@ and the graph is r-robust exactly when no S1 has both values below r.
 Both questions are answered from the same tables; the witness is read
 from them in the canonical order described at _violating_pair.  The tables
 are built for a stack of graphs on one n at a time, so robustness_levels
-certifies many graphs with one pass of the same kernel.
+certifies many graphs with one pass of the same kernel.  The half of the
+reach build that does not depend on the graph (each mask part's
+complements and the -32 term of non-members) is made on first use of each
+n and cached read-only: about 42 KB at n = 16, 0.8 MB at n = 20 and
+1.5 MB if every n up to MAX_EXACT_N is used.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,6 +130,27 @@ def _min_zeta(table, positions) -> None:
         np.minimum(pairs[..., 1, :], pairs[..., 0, :], out=pairs[..., 1, :])
 
 
+@functools.cache
+def _reach_terms(n: int):
+    """The half of the reach build that does not depend on the graph.
+
+    For the low k = min(n, _LOW_BITS) bits of a mask and for the rest, a
+    pair (outside, penalty): outside[j] is the complement, within that
+    part's bits, of the part's j-th value (contiguous int32), and
+    penalty[v, j] is -32 where vertex v lies in outside[j] and 0 elsewhere
+    (int8).  Both are read-only, and made on the first call for each n.
+    """
+    k = min(n, _LOW_BITS)
+    vertex = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
+    terms = []
+    for part in (np.arange(1 << k, dtype=np.int32), np.arange(0, 1 << n, 1 << k, dtype=np.int32)):
+        outside = part[::-1].copy()
+        penalty = np.where(vertex & outside, np.int8(-32), np.int8(0))
+        outside.flags.writeable = penalty.flags.writeable = False
+        terms.append((outside, penalty))
+    return tuple(terms)
+
+
 def _subset_tables(rows):
     """reach, best and pair tables over every vertex mask m, as (B, 2^n) int8
     arrays, for a (B, n) stack of adjacency rows of B graphs on n vertices.
@@ -137,22 +163,20 @@ def _subset_tables(rows):
     Mask m is split into its low k bits and the rest.  Vertex v's count of
     neighbors outside m is the sum of a term over each part, so each vertex
     adds one outer sum of two short vectors; a non-member also gets -32 on
-    its own part, which keeps it below every member.  The tables are built
-    transposed, as [low, high], so that the transform passes over the low
-    bits run along whole rows; those over the high bits then run in mask
-    order, along 2^k or more entries.
+    its own part, which keeps it below every member.  The complements and
+    the -32 terms do not depend on the graph: _reach_terms makes them
+    read-only on the first call for each n and keeps them (about 42 KB at
+    n = 16), so a call only counts each row's neighbors in them.  The
+    tables are built transposed, as [low, high], so that the transform
+    passes over the low bits run along whole rows; those over the high bits
+    then run in mask order, along 2^k or more entries.
     """
     rows = np.array(rows, dtype=np.int32)[:, :, None]
     graphs, n = rows.shape[:2]
     k = min(n, _LOW_BITS)
-    vertex = np.left_shift(1, np.arange(n, dtype=np.int32))[:, None]
-    terms = []
-    for part in (np.arange(1 << k, dtype=np.int32), np.arange(0, 1 << n, 1 << k, dtype=np.int32)):
-        outside = part[::-1]  # the complement of each part, within its bits
-        # uint8 arithmetic wraps, so the int8 view reads count - 32
-        terms.append((np.bitwise_count(rows & outside)
-                      - (np.bitwise_count(vertex & outside) << 5)).view(np.int8))
-    low, high = terms
+    # counts are at most n - 1 < 32, so count - 32 fits int8
+    low, high = (np.bitwise_count(rows & outside).view(np.int8) + penalty
+                 for outside, penalty in _reach_terms(n))
     step = max(1, _CHUNK // (graphs << n))
     chunks = ((low[:, s:s + step, :, None] + high[:, s:s + step, None, :]).max(axis=1)
               for s in range(0, n, step))
@@ -165,7 +189,11 @@ def _subset_tables(rows):
     reach = reach.transpose(0, 2, 1).reshape(graphs, -1)
     best = best.transpose(0, 2, 1).reshape(graphs, -1)
     _min_zeta(best, range(k, n))
-    return reach, best, np.maximum(reach, best[:, ::-1])
+    # best[~m] reads best backwards: copied as byte-swapped words of up to 8
+    # bytes in reverse order, faster than through a negative stride
+    pair = best.view(f"u{min(8, 1 << n)}")[:, ::-1].byteswap().view(np.int8)
+    np.maximum(pair, reach, out=pair)
+    return reach, best, pair
 
 
 def _violating_pair(reach, best, pair, t: int):

@@ -29,6 +29,7 @@ from robustnet import (
     wmsr_step,
     write_trace,
 )
+from robustnet.consensus import _neighbor_table
 
 from oracles import (
     complete_graph,
@@ -453,6 +454,19 @@ def test_simulate_memory_is_linear_in_edges():
         tracemalloc.stop()
     assert trace.states.shape == (11, n)
     assert peak < 8 << 20  # an n x n bool array alone would take 64 MiB
+
+
+def test_neighbor_table_of_an_edgeless_graph_is_small():
+    updating = list(range(MAX_VERTICES))
+    tracemalloc.start()
+    try:
+        table = _neighbor_table(new_graph(MAX_VERTICES), updating)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(v for block, _, _ in table for v in block.tolist()) == updating
+    assert all(idx.shape == (len(block), 0) for block, idx, _ in table)
+    assert peak <= 2 << 20  # unpacking whole rows takes (128, n) bytes a block: 4.8 MiB
 
 
 def test_simulate_bounds_the_trace():

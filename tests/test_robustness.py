@@ -19,7 +19,7 @@ from robustnet import (
 )
 from robustnet.graph import bits
 from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, ODD_CASE, _NONE,
-                                  _subset_tables)
+                                  _reach_terms, _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -269,17 +269,40 @@ def _submasks(m):
 def test_subset_tables_match_reachability_entry_by_entry():
     # a transform fault can leave r_max right on nearly every graph, so every entry is checked
     rng = random.Random(6151)
+    cases = {}
     for n in range(1, 11):
         graphs = [random_graph(rng, n, k / 5) for k in range(6)]
-        reach, best, pair = _subset_tables([g.rows for g in graphs])
-        assert reach.shape == best.shape == pair.shape == (len(graphs), 1 << n)
         full = (1 << n) - 1
-        for b, g in enumerate(graphs):
+        expected = []
+        for g in graphs:
             want = [_NONE] + [reachability(g, bits(m)) for m in range(1, full + 1)]
             least = [_NONE] + [min(want[s] for s in _submasks(m)) for m in range(1, full + 1)]
-            assert reach[b].tolist() == want
-            assert best[b].tolist() == least
-            assert pair[b].tolist() == [max(want[m], least[full ^ m]) for m in range(full + 1)]
+            expected.append([want, least, [max(want[m], least[full ^ m]) for m in range(full + 1)]])
+        cases[n] = graphs, expected
+    # n ascending, then descending with stacks of 1 and 6 graphs, so that
+    # per-n state served for the wrong n or stack size shows
+    order = [(n, 6) for n in range(1, 11)] + [(n, b) for n in range(10, 0, -1) for b in (1, 6)]
+    for n, size in order:
+        graphs, expected = cases[n]
+        tables = _subset_tables([g.rows for g in graphs[:size]])
+        assert [table.shape for table in tables] == [(size, 1 << n)] * 3
+        for b in range(size):
+            assert [table[b].tolist() for table in tables] == expected[b]
+
+
+def test_reach_terms_are_made_once_per_n_and_read_only():
+    _reach_terms.cache_clear()
+    big = new_graph(MAX_EXACT_N + 1)
+    with pytest.raises(ValueError, match=r"2\^n"):
+        max_robustness(big)
+    assert _reach_terms.cache_info().currsize == 0  # refused before any entry is made
+    max_robustness(sparsest_odd(4))
+    is_r_robust(path_graph(7), 2)
+    assert _reach_terms.cache_info().currsize == 1  # two graphs on n = 7 share one entry
+    for array in (array for part in _reach_terms(7) for array in part):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert sum(array.nbytes for part in _reach_terms(MAX_EXACT_N) for array in part) < 1 << 20
 
 
 def test_pairs_examined_counts_s1_candidates():
