@@ -21,6 +21,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -193,6 +194,17 @@ class Verdict:
 
 
 def _as_state_vector(g: Graph, states) -> np.ndarray:
+    """states as a float vector of g.n agent states.
+
+    Every entry must be a real number and not a bool, the rule
+    check_number applies to every other numeric input: an ndarray by its
+    dtype, anything else by one pass over the types of its entries (a
+    string or a bool would otherwise be parsed as a number).
+    """
+    kinds = [states.dtype.type] if isinstance(states, np.ndarray) else dict.fromkeys(map(type, states))
+    for kind in kinds:
+        if kind is bool or not issubclass(kind, Real):
+            raise ValueError(f"agent states must be real numbers, got a {kind.__name__}")
     x = np.asarray(states, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"expected {g.n} agent states, got shape {x.shape}")
@@ -236,9 +248,11 @@ def _neighbor_table(g: Graph, updating) -> NeighborTable:
     ascending order and is padded with vertices[r] itself, and a mask that
     is False on the padding.  Vertices are blocked in order of decreasing
     degree and each block is as wide as its largest degree, so the tables
-    take O(edges + max degree * _BLOCK) memory even on a star.  Only the
-    nonzero bytes of the packed rows are unpacked, so past packing n / 8
-    bytes per vertex the build costs O(edges), not O(n) per vertex.
+    take O(edges + max degree * _BLOCK) memory even on a star.  A block of
+    edgeless vertices packs nothing, and otherwise only the nonzero bytes
+    of the packed rows are unpacked, so past packing n / 8 bytes per
+    vertex of positive degree the build costs O(edges), not O(n) per
+    vertex.
     """
     rows = g.rows
     verts = np.asarray(updating, dtype=np.intp)
@@ -249,22 +263,30 @@ def _neighbor_table(g: Graph, updating) -> NeighborTable:
     for start in range(0, len(order), _BLOCK):
         pick = order[start:start + _BLOCK]
         block = verts[pick]
-        packed = np.frombuffer(b"".join(rows[i].to_bytes(nbytes, "little") for i in block.tolist()),
-                               dtype=np.uint8)
-        at = np.flatnonzero(packed)
-        byte, bit = np.nonzero(np.unpackbits(packed[at][:, None], axis=1, bitorder="little"))
         deg = degrees[pick]
         idx = np.repeat(block[:, None], deg[0], axis=1)
         valid = np.arange(deg[0]) < deg[:, None]
-        # bytes and bits ascend row by row, so each row's first deg slots get its neighbors in order
-        idx[valid] = (at % nbytes * 8)[byte] + bit
+        if deg[0]:
+            packed = np.frombuffer(b"".join(rows[i].to_bytes(nbytes, "little") for i in block.tolist()),
+                                   dtype=np.uint8)
+            at = np.flatnonzero(packed)
+            # bit 8j + b of the unpacked nonzero bytes is bit b of byte at[j]
+            set_bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
+            # bytes and bits ascend row by row, so each row's first deg slots get its neighbors in order
+            idx[valid] = (at % nbytes * 8)[set_bits >> 3] + (set_bits & 7)
         table.append((block, idx, valid))
     return table
 
 
-def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int) -> np.ndarray:
-    """W-MSR update of the vertices in table; every other entry of x is copied.
+# Row numbers of a block's stacked keys, sliced per block
+_KEY_ROWS = np.arange(2 * _BLOCK)
 
+
+def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """W-MSR update of the vertices in table, written into out.
+
+    out defaults to a copy of x; a given out keeps its other entries and
+    must not overlap x.
     Each agent's values are keyed twice, as they are for the side above
     its own value and negated for the side below, and f passes replace
     the largest key of every row with -inf.  A pass only takes a value
@@ -272,29 +294,31 @@ def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int) -> np.ndarray:
     takes the first of equal keys, the lowest neighbor, as list.remove
     would.  (A NaN may use up a pass, but it is always kept, so the
     result is NaN either way.)  The survivors are then added left to
-    right from +0.0, everything else contributing -0.0 (the exact
-    additive identity), so each sum equals Python's sum over the
-    survivors bit for bit; np.sum would add pairwise and change the last
-    bits.
+    right, everything else contributing -0.0 (the exact additive
+    identity), and +0.0 is added to each sum, so each equals Python's
+    sum over the survivors bit for bit: the two differ only when every
+    term is -0.0, where Python's integer start gives +0.0.  np.sum would
+    add pairwise, and np.add.reduce does so even over a single row.
     """
-    out = x.copy()
+    if out is None:
+        out = x.copy()
     for block, idx, valid in table:
-        k = len(block)
-        own = x[block][:, None]
+        k, width = idx.shape
+        own = x[block]
         v = x[idx]  # padding holds own, which is neither above nor below it
-        above = v > own
-        below = v < own
+        column = own[:, None]
+        above = v > column
+        below = v < column
         key = np.concatenate((v, -v))
-        rows = np.arange(2 * k)
-        for _ in range(min(f, idx.shape[1])):
+        rows = _KEY_ROWS[:2 * k]
+        for _ in range(min(f, width)):
             key[rows, key.argmax(axis=1)] = -np.inf
         taken = key == -np.inf
         kept = valid & ~((above & taken[:k]) | (below & taken[k:]))
-        terms = np.full((k, idx.shape[1] + 1), -0.0)
-        terms[:, 0] = 0.0
-        np.copyto(terms[:, 1:], v, where=kept)
+        terms = np.where(kept, v, -0.0)
         np.add.accumulate(terms, axis=1, out=terms)
-        out[block] = (own[:, 0] + terms[:, -1]) / (kept.sum(axis=1) + 1)
+        total = terms[:, -1] + 0.0 if width else 0.0
+        out[block] = (own + total) / (kept.sum(axis=1) + 1)
     return out
 
 
@@ -327,29 +351,33 @@ def simulate(
     normal = frozenset(range(g.n)) - threat.malicious
     if not normal:
         raise ValueError("at least one normal agent is required")
-    idx = sorted(normal)
-    table = _neighbor_table(g, idx)
+    order = sorted(normal)
+    table = _neighbor_table(g, order)
+    idx = np.array(order, dtype=np.intp)
+    trajectories = [(m, threat.behaviors[m]) for m in sorted(threat.malicious)]
     # One trace buffer, grown and finally cut in place (ndarray.resize reallocs).
     states = np.empty((min(max_steps, 8) + 1, g.n))
     states[0] = x0
     t = 0
     while True:
-        for m in threat.malicious:
-            value = float(threat.behaviors[m](t))
+        for m, behavior in trajectories:
+            value = float(behavior(t))
             if not math.isfinite(value):
                 raise ValueError(f"behavior of vertex {m} gave non-finite value {value!r} at t={t}")
             states[t, m] = value
-        ns = states[t, idx]
-        if not np.isfinite(ns).all():
+        ns = states[t][idx]
+        hi, lo = ns.max(), ns.min()  # a NaN reaches both, an infinity one of them
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError(f"W-MSR update gave a non-finite normal state at t={t}" if t
                              else "initial states must be finite numbers")
-        converged = float(ns.max() - ns.min()) < tol
+        converged = float(hi - lo) < tol
         if converged or t == max_steps:
             break
         t += 1
         if t == len(states):  # refcheck=False: no view of states is alive here
             states.resize((min(max_steps + 1, t + 1 + t // 8), g.n), refcheck=False)
-        states[t] = _wmsr_update(states[t - 1], table, threat.f)
+        # every entry the update skips is malicious, and is set at the top of the next pass
+        _wmsr_update(states[t - 1], table, threat.f, out=states[t])
     states.resize((t + 1, g.n), refcheck=False)
     first = states[0, idx].tolist()  # Python's min keeps the first of 0.0 and -0.0; np.min may not
     return SimulationTrace(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -29,7 +30,7 @@ from robustnet import (
     wmsr_step,
     write_trace,
 )
-from robustnet.consensus import _neighbor_table
+from robustnet.consensus import BEHAVIOR_KINDS, _neighbor_table
 
 from oracles import (
     complete_graph,
@@ -195,6 +196,42 @@ def test_wmsr_step_matches_loop_oracle_at_the_edges():
     normal = [i for i in range(1000) if rng.random() < 0.9]
     for f in (0, 2):
         assert _reprs(wmsr_step(sparse, states, f, normal)) == _reprs(loop_wmsr_step(sparse, states, f, normal))
+
+
+def test_wmsr_step_matches_loop_oracle_for_a_lone_hub():
+    # a block of one agent is where np.add.reduce would sum its terms pairwise
+    rng = random.Random(408)
+    for n in range(10, 61):
+        hub = new_graph(n, [(0, j) for j in range(1, n)])
+        for _ in range(20):
+            states = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+            f = rng.randint(0, 3)
+            assert _reprs(wmsr_step(hub, states, f, [0])) == _reprs(loop_wmsr_step(hub, states, f, [0]))
+
+
+def test_wmsr_step_matches_loop_oracle_over_blocks_of_different_widths():
+    g = erdos_renyi(1000, 0.05, 409)
+    rng = random.Random(409)
+    states = [rng.choice(TIE_POOL) if rng.random() < 0.2 else rng.uniform(-100.0, 100.0) for _ in range(1000)]
+    normal = [i for i in range(1000) if rng.random() < 0.95]
+    widths = [idx.shape[1] for _, idx, _ in _neighbor_table(g, normal)]
+    assert len(widths) == 8 and len(set(widths)) == 8
+    assert _reprs(wmsr_step(g, states, 3, normal)) == _reprs(loop_wmsr_step(g, states, 3, normal))
+
+
+def test_wmsr_step_matches_loop_oracle_when_every_survivor_is_negative_zero():
+    # hub h has a neighbor at 5.0, one at -5.0 and h + 1 more at -0.0, so
+    # rows of eight widths share a block; Python's sum of the survivors is +0.0
+    hubs = [11 * h for h in range(8)]
+    g = new_graph(88, [(hub, hub + j) for h, hub in enumerate(hubs) for j in range(1, h + 4)])
+    for own in (0.0, -0.0):
+        states = [-0.0] * 88
+        for hub in hubs:
+            states[hub], states[hub + 1], states[hub + 2] = own, 5.0, -5.0
+        for f in (1, 2):
+            out = wmsr_step(g, states, f, hubs)
+            assert _reprs(out) == _reprs(loop_wmsr_step(g, states, f, hubs))
+            assert _reprs(out[hubs]) == ["0.0"] * 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -435,6 +472,21 @@ def test_simulate_rejects_bad_input():
         simulate(g, constant_threat("F-total", 1, {0: math.nan}), [0.0, 1.0, 2.0])
 
 
+def test_state_vectors_must_hold_real_numbers():
+    g = path_graph(3)
+    threat = constant_threat("F-local", 1, {1: 2.0})
+    for bad in (["1", True, "3"], [1.0, 2.0, "3"], [0.0, np.True_, 2.0], [1.0, None, 2.0], [1.0, 2j, 3.0],
+                np.array([True, False, True]), np.array(["1", "2", "3"]), np.array([1.0, 2.0, 3.0], dtype=object)):
+        with pytest.raises(ValueError, match="agent states must be real numbers"):
+            simulate(g, threat, bad)
+        with pytest.raises(ValueError, match="agent states must be real numbers"):
+            wmsr_step(g, bad, 0, range(3))
+    # every real type is still read, numpy's included
+    for good in ([0, 1.0, 2], (0.0, np.float32(1.0), np.int64(2)), np.array([0, 1, 2]), np.array([0.0, 1.0, 2.0])):
+        assert _reprs(wmsr_step(g, good, 0, range(3))) == ["0.5", "1.0", "1.5"]
+        assert simulate(g, threat, good).states[0].tolist() == [0.0, 2.0, 2.0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_simulate_rejects_update_overflow():
     # every state is finite, but the sum of the neighbors' values is not
@@ -667,6 +719,58 @@ def test_trace_csv_is_repr_of_every_float():
     )
     assert trace_to_csv_text(trace) == expected
     assert expected.split("\n")[1:3] == ["0,0.0,-0.0,1e-300", "1,2.0,-3.0,0.30000000000000004"]
+
+
+# Each behaviour kind's parameters in the pinned runs below
+PINNED_BEHAVIORS = {
+    "constant": {"kind": "constant", "value": 250.0},
+    "ramp": {"kind": "ramp", "start": -50.0, "slope": 1.5},
+    "sinusoid": {"kind": "sinusoid", "amplitude": 200.0, "period": 7.0},
+    "random-walk": {"kind": "random-walk", "step": 2.0, "seed": 11},
+}
+
+# sha256 of trace_to_csv_text of each pinned run, recorded from the
+# update before it was reworked: a change in the last bit of any state
+# anywhere in a run shows here
+PINNED_TRACE_SHA256 = {
+    "odd-constant": "78a35053a4c98c64fb075905a2d1b74708579df103ced75d794587a8a9ade549",
+    "odd-ramp": "d94b737b1299826b936154b68bc189c0f951f5528d1ab8872c6734f5a8645fc9",
+    "odd-sinusoid": "95de25c3633f1e285a153e0d545761a78b63f195ec9a26a738950d2467c78b63",
+    "odd-random-walk": "90c749b1595b436816eebac25a6d32de59ced27faa432ed839059acb0c7707b2",
+    "even-constant": "37627d9c7094bf370a6bc48ed195f5db3c52a2e0f6fcb06e11aeefae90de89d1",
+    "even-ramp": "9d45f1e1ae95e8dfa4a2b341e5c0506288700a64a1bf8e6b90df8372cdbba9a7",
+    "even-sinusoid": "21e62e5534ed0b950906d8bfbfcbacd060d755ae5c294494ada14a1512de96d1",
+    "even-random-walk": "9de08e8c3093162df9db6e6cb4be6ada9eafc2d14d915c772d05fa10928dbf94",
+    "erdos-renyi-1000": "44dab9f56eed2529cb68202439dd3a5b583fa035232ca2402fe9b780debf8722",
+}
+
+
+def _pinned_runs():
+    """(name, graph, threat spec, initial states): each behaviour kind on
+    sparsest_odd(7) and sparsest_even(7), and three kinds on
+    erdos_renyi(1000, 0.05, 5), all F-local with F = 3."""
+    for label, g in (("odd", sparsest_odd(7)), ("even", sparsest_even(7))):
+        for k, kind in enumerate(BEHAVIOR_KINDS):
+            rng = random.Random(100 * k + g.n)
+            spec = {"scope": "F-local", "F": 3, "malicious": rng.sample(range(g.n), 3),
+                    "behavior": PINNED_BEHAVIORS[kind]}
+            yield f"{label}-{kind}", g, spec, [rng.uniform(-100.0, 100.0) for _ in range(g.n)]
+    rng = random.Random(1000)
+    g = erdos_renyi(1000, 0.05, 5)
+    malicious = rng.sample(range(g.n), 3)
+    spec = {"scope": "F-local", "F": 3, "malicious": malicious,
+            "behaviors": {str(m): PINNED_BEHAVIORS[kind]
+                          for m, kind in zip(malicious, ("constant", "ramp", "random-walk"))}}
+    yield "erdos-renyi-1000", g, spec, [rng.uniform(-100.0, 100.0) for _ in range(g.n)]
+
+
+def test_traces_match_pinned_digests():
+    digests = {}
+    for name, g, spec, initial in _pinned_runs():
+        trace = simulate(g, ThreatModel.from_json_dict(spec), initial)
+        assert trace.converged_at is not None
+        digests[name] = hashlib.sha256(trace_to_csv_text(trace).encode()).hexdigest()
+    assert digests == PINNED_TRACE_SHA256
 
 
 def test_sinusoid_behavior_in_simulation():
