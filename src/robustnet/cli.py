@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import random
 import sys
 from pathlib import Path
 
-from .construct import ConstructionRecipe, KINDS, TREE_SHAPES, build
+from .construct import KINDS, TREE_SHAPES
 from .consensus import ThreatModel, check_validity, simulate, write_trace
 from .experiment import (
     ExperimentConfig,
@@ -33,25 +34,24 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _default_graph_name(recipe: ConstructionRecipe) -> str:
-    parts = [str(value) if key in ("kind", "tree_shape") else f"{key}{value}"
-             for key, value in recipe.to_json_dict().items()]
-    return "-".join(parts) + ".edges"
-
-
 def cmd_construct(args) -> int:
-    recipe = ConstructionRecipe(
-        kind=args.kind, r=args.r, n=args.n, p=args.p,
-        seed=args.seed, tree_shape=args.tree_shape,
-    )
-    g = build(recipe)
-    out = Path(args.output) if args.output else Path(_default_graph_name(recipe))
+    builder = KINDS[args.kind]
+    options = {key: value for key in ("r", "n", "p", "seed", "tree_shape")
+               if (value := getattr(args, key)) is not None}
+    try:  # the builder's signature states which options its kind takes
+        inspect.signature(builder).bind(**options)
+    except TypeError as exc:
+        raise ValueError(f"--kind {args.kind}: {exc}") from None
+    g = builder(**options)
+    name = "-".join([args.kind, *(str(value) if key == "tree_shape" else f"{key}{value}"
+                                  for key, value in options.items())])
+    out = Path(args.output or f"{name}.edges")
     write_edge_list(g, out)
     _say(args, f"wrote {out}")
     _say(args, f"n={g.n} edges={g.edge_count}")
-    if recipe.r is not None:
-        report = edge_lower_bound(g.n, recipe.r)
-        _say(args, f"edge lower bound for {recipe.r}-robust on n={g.n}: {report.bound} ({report.kind})")
+    if args.r is not None:
+        report = edge_lower_bound(g.n, args.r)
+        _say(args, f"edge lower bound for {args.r}-robust on n={g.n}: {report.bound} ({report.kind})")
     return 0
 
 

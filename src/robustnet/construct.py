@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, check_fields, check_int, check_number, check_vertex_count
+from .graph import Graph, check_int, check_number, check_vertex_count
 
 TREE_SHAPES = ("path", "star", "random")
 
@@ -124,77 +123,10 @@ def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> 
     return _hub_graph(check_vertex_count(n), 0, _tree_edges(list(range(n)), tree_shape, seed))
 
 
-# kind -> (builder, size field, takes a tree shape, vertex count of a size);
-# build passes the builder the recipe's set fields by name
-_KINDS = {
-    "sparsest-odd": (sparsest_odd, "r", True, lambda r: 2 * r - 1),
-    "sparsest-even": (sparsest_even, "r", False, lambda r: 2 * r),
-    "erdos-renyi": (erdos_renyi, "n", False, lambda n: n),
-    "tree": (tree_graph, "n", True, lambda n: n),
+# kind name -> builder; the builder's parameters are the options its kind takes
+KINDS = {
+    "sparsest-odd": sparsest_odd,
+    "sparsest-even": sparsest_even,
+    "erdos-renyi": erdos_renyi,
+    "tree": tree_graph,
 }
-KINDS = tuple(_KINDS)
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    """Declarative description of a graph to build, serializable as JSON,
-    checked when it is made.
-
-    kind selects the builder; r parameterizes the extremal families and
-    n/p/seed the random kinds.  A seed is required exactly when the
-    build is randomized (erdos-renyi, or a random tree shape) and rejected
-    otherwise, so every randomized artifact records its own replay key.
-    """
-
-    kind: str
-    r: Optional[int] = None
-    n: Optional[int] = None
-    p: Optional[float] = None
-    seed: Optional[int] = None
-    tree_shape: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"recipe kind must be one of {KINDS}, got {self.kind!r}")
-        _, size, shaped, vertex_count = _KINDS[self.kind]
-        other = "n" if size == "r" else "r"
-        if getattr(self, size) is None or getattr(self, other) is not None:
-            raise ValueError(f"{self.kind} recipe takes {size}, not {other}")
-        check_vertex_count(vertex_count(check_int(getattr(self, size), size, 1)))
-        if self.kind == "erdos-renyi":
-            if self.p is None:
-                raise ValueError("erdos-renyi recipe requires p")
-            if not 0.0 <= check_number(self.p, "edge probability") <= 1.0:
-                raise ValueError(f"edge probability must be in [0, 1], got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"p only applies to erdos-renyi recipes, not {self.kind}")
-        if self.tree_shape is not None:
-            if not shaped:
-                raise ValueError(f"tree_shape does not apply to {self.kind} recipes")
-            if self.tree_shape not in TREE_SHAPES:
-                raise ValueError(f"tree_shape must be one of {TREE_SHAPES}, got {self.tree_shape!r}")
-        randomized = self.kind == "erdos-renyi" or self.tree_shape == "random"
-        if randomized and self.seed is None:
-            raise ValueError(f"{self.kind} recipe with randomized output requires a seed")
-        if not randomized and self.seed is not None:
-            raise ValueError(f"seed only applies to randomized recipes, not this {self.kind} recipe")
-        if randomized:
-            check_int(self.seed, "seed", None)
-
-    def to_json_dict(self) -> dict:
-        data = {"kind": self.kind}
-        for key in ("r", "n", "p", "seed", "tree_shape"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstructionRecipe":
-        return cls(**check_fields(data, "recipe JSON", ("kind",), cls.__dataclass_fields__))
-
-
-def build(recipe: ConstructionRecipe) -> Graph:
-    """Build the graph a recipe describes."""
-    fields = recipe.to_json_dict()
-    return _KINDS[fields.pop("kind")][0](**fields)

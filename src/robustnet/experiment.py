@@ -128,8 +128,9 @@ def _certified_draws(config: ExperimentConfig, r: int, n: int, p: float):
 
     The draws are certified in chunks by one robustness_levels call each:
     first samples_per_p attempts, then twice the previous chunk, each capped
-    by the attempts left and by B * 2^n <= 2^MAX_EXACT_N table entries, so
-    a chunk takes no more memory than one certification at the limit.
+    by the attempts left and by 2^MAX_EXACT_N >> n graphs.  robustness_levels
+    bounds its own memory, so the cap only limits the draws certified and
+    thrown away after the cell's last acceptance.
     """
     attempt = 0
     chunk = config.samples_per_p

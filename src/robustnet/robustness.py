@@ -37,6 +37,7 @@ from .graph import (MAX_EXACT_N, Graph, bits, check_exact_n, check_int,
 ODD_CASE = "odd-case"
 EVEN_CASE = "even-case"
 GENERAL_COROLLARY = "general-corollary"
+MIN_DEGREE = "min-degree"
 
 _NONE = np.int8(127)  # table entry of the empty mask, above every reach
 _LOW_BITS = 5  # mask bits whose transform passes run on the transposed table
@@ -269,8 +270,10 @@ def robustness_levels(graphs) -> list[int]:
     """r_max of each graph in a sequence of graphs on the same n, no witness.
 
     Equals [max_robustness(g).r_max for g in graphs], with the same
-    single-vertex convention and capability limit, but certifies the whole
-    stack with one pass of the subset-table kernel.
+    single-vertex convention and capability limit, but certifies the stack
+    with one pass of the subset-table kernel per slice of B graphs, where
+    B * 2^n <= 2^MAX_EXACT_N: no slice takes more memory than one
+    certification at the limit, however many graphs are given.
     """
     if not graphs:
         return []
@@ -278,23 +281,32 @@ def robustness_levels(graphs) -> list[int]:
     if any(g.n != n for g in graphs):
         raise ValueError("robustness_levels needs graphs with one vertex count")
     check_exact_n(n, "exact certification")
-    levels = _subset_tables([g.rows for g in graphs])[2].min(axis=1)
+    step = (1 << MAX_EXACT_N) >> n
+    levels = []
+    for start in range(0, len(graphs), step):
+        rows = [g.rows for g in graphs[start:start + step]]
+        levels += _subset_tables(rows)[2].min(axis=1).tolist()
     return np.minimum(levels, (n + 1) // 2).tolist()
 
 
 def edge_lower_bound(n: int, r: int) -> BoundReport:
     """Fewest edges any r-robust graph on n vertices can have.
 
-    n = 2r-1 and n = 2r get the tight extremal bounds; all other feasible n
-    fall back to the general 3r(r-1)/2 bound, which is valid for every
-    r-robust graph regardless of size but is not claimed tight there.
+    n = 2r-1 and n = 2r get the tight extremal bounds.  For n > 2r the
+    bound is the larger of the general 3r(r-1)/2 bound, valid for every
+    r-robust graph regardless of size, and ceil(rn/2) from the minimum
+    degree: in the pair S1 = {v}, S2 = V - {v}, S2 is at most 1-reachable,
+    and only through v's edges, so deg(v) >= r.  Neither is claimed tight.
     """
     check_int(n, "vertex count of an r-robust graph", 2 * check_int(r, "robustness level", 1) - 1)
     if n == 2 * r - 1:
         return BoundReport(n=n, r=r, bound=3 * r * (r - 1) // 2, kind=ODD_CASE)
     if n == 2 * r:
         return BoundReport(n=n, r=r, bound=(r * (3 * r - 2) + 2) // 2, kind=EVEN_CASE)
-    return BoundReport(n=n, r=r, bound=3 * r * (r - 1) // 2, kind=GENERAL_COROLLARY)
+    general, degree = 3 * r * (r - 1) // 2, (r * n + 1) // 2
+    if degree > general:
+        return BoundReport(n=n, r=r, bound=degree, kind=MIN_DEGREE)
+    return BoundReport(n=n, r=r, bound=general, kind=GENERAL_COROLLARY)
 
 
 def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:

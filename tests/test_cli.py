@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, graph_to_json_dict, load_graph,
-                       new_graph)
+from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, erdos_renyi, format_edge_list,
+                       graph_to_json_dict, load_graph, new_graph, sparsest_even, sparsest_odd,
+                       tree_graph)
 from robustnet.cli import _build_parser, main
 
 from oracles import DEFAULT_SWEEP_SHA256
@@ -103,6 +104,54 @@ def test_construct_refuses_removed_kind(tmp_path, capsys):
         main(["construct", "--kind", "f-elemental", "--r", "5", "--output", str(out)])
     assert err.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, name, graph", [
+    ("--kind sparsest-odd --r 4", "sparsest-odd-r4", sparsest_odd(4)),
+    ("--kind sparsest-odd --r 5 --tree-shape random --seed 3", "sparsest-odd-r5-seed3-random",
+     sparsest_odd(5, "random", 3)),
+    ("--kind sparsest-even --r 3", "sparsest-even-r3", sparsest_even(3)),
+    ("--kind erdos-renyi --n 8 --p 0.6 --seed 9", "erdos-renyi-n8-p0.6-seed9", erdos_renyi(8, 0.6, 9)),
+    ("--kind tree --n 6 --tree-shape star", "tree-n6-star", tree_graph(6, "star")),
+])
+def test_construct_writes_the_builders_graph_under_its_default_name(tmp_path, monkeypatch,
+                                                                     options, name, graph):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", *options.split(), "--quiet"]) == 0
+    assert [path.name for path in tmp_path.iterdir()] == [f"{name}.edges"]
+    assert (tmp_path / f"{name}.edges").read_text() == format_edge_list(graph)
+
+
+# each is refused by the kind's builder: by its signature, or by its own checks
+@pytest.mark.parametrize("options", [
+    "--kind sparsest-odd --n 5",  # takes r, not n
+    "--kind sparsest-odd --r 3 --n 5",
+    "--kind sparsest-odd --r 0",
+    "--kind sparsest-odd --r 3 --seed 5",  # the path shape would ignore the seed
+    "--kind sparsest-even --r 2 --seed 1",
+    "--kind sparsest-even --r 2 --tree-shape path",
+    "--kind erdos-renyi --n 5 --seed 1",  # no p
+    "--kind erdos-renyi --n 5 --p 0.5",  # no seed
+    "--kind erdos-renyi --n 5 --p 2.0 --seed 1",
+    "--kind erdos-renyi --n 5 --p 0.5 --seed 1 --tree-shape star",
+    "--kind tree --n 5 --tree-shape random",  # no seed
+    "--kind tree --n 5 --tree-shape zigzag",  # refused by argparse
+    "--kind tree --n 5 --p 0.5",
+    # one past the vertex count the build accepts
+    f"--kind sparsest-odd --r {MAX_VERTICES // 2 + 1}",
+    f"--kind sparsest-even --r {MAX_VERTICES // 2 + 1}",
+    f"--kind erdos-renyi --n {MAX_VERTICES + 1} --p 0.5 --seed 1",
+    f"--kind tree --n {MAX_VERTICES + 1}",
+])
+def test_construct_refuses_options_its_builder_does_not_take(tmp_path, capsys, options):
+    out = tmp_path / "x.edges"
+    try:
+        code = main(["construct", *options.split(), "--output", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,15 +1,9 @@
-import dataclasses
-import json
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from robustnet import (
     MAX_VERTICES,
-    ConstructionRecipe,
-    build,
     edge_lower_bound,
     erdos_renyi,
     format_edge_list,
@@ -207,99 +201,6 @@ def test_builders_check_tree_shape_and_seed_at_every_size():
             build_bad()
 
 
-def test_recipe_validation():
-    ConstructionRecipe(kind="sparsest-odd", r=3)
-    ConstructionRecipe(kind="erdos-renyi", n=5, p=0.5, seed=1)
-    ConstructionRecipe(kind="tree", n=5, tree_shape="random", seed=2)
-
-
-_ER = dict(kind="erdos-renyi", n=5, p=0.5, seed=1)
-_RANDOM_TREE = dict(kind="tree", n=5, tree_shape="random", seed=2)
-
-# (a valid recipe's fields, the changes that make it invalid)
-_BAD_RECIPES = [
-    (dict(kind="tree", n=3), dict(kind="nope")),
-    (dict(kind="sparsest-odd", r=5), dict(r=None, n=5)),  # takes r, not n
-    (dict(kind="sparsest-odd", r=3), dict(n=5)),
-    (dict(kind="sparsest-even", r=2), dict(seed=1)),  # not randomized
-    (dict(kind="sparsest-even", r=2), dict(tree_shape="path")),
-    (_ER, dict(p=None)),
-    (_ER, dict(seed=None)),
-    (_ER, dict(p=2.0)),
-    (_RANDOM_TREE, dict(seed=None)),
-    (dict(kind="tree", n=5), dict(tree_shape="zigzag")),
-    (dict(kind="sparsest-odd", r=3), dict(r=0)),
-    (dict(kind="sparsest-even", r=2), dict(r=True)),
-    (dict(kind="tree", n=5), dict(n=True)),
-    (_ER, dict(p=True)),
-    (_ER, dict(p="0.5")),
-    (_ER, dict(seed=True)),
-    (_RANDOM_TREE, dict(seed=1.0)),
-    # one past the vertex count the build accepts
-    (dict(kind="sparsest-odd", r=3), dict(r=MAX_VERTICES // 2 + 1)),
-    (dict(kind="sparsest-even", r=2), dict(r=MAX_VERTICES // 2 + 1)),
-    (_ER, dict(n=MAX_VERTICES + 1)),
-    (dict(kind="tree", n=5), dict(n=MAX_VERTICES + 1)),
-]
-
-
-@pytest.mark.parametrize("valid, bad", _BAD_RECIPES, ids=repr)
-def test_recipe_is_checked_however_it_is_made(valid, bad):
-    with pytest.raises(ValueError):
-        ConstructionRecipe(**{**valid, **bad})
-    with pytest.raises(ValueError):
-        ConstructionRecipe.from_json_dict({**valid, **bad})
-    with pytest.raises(ValueError):
-        dataclasses.replace(ConstructionRecipe(**valid), **bad)
-
-
-def test_recipe_json_round_trip():
-    recipe = ConstructionRecipe(kind="erdos-renyi", n=9, p=0.8, seed=5)
-    data = recipe.to_json_dict()
-    assert data == {"kind": "erdos-renyi", "n": 9, "p": 0.8, "seed": 5}
-    assert ConstructionRecipe.from_json_dict(data) == recipe
-    with pytest.raises(ValueError):
-        ConstructionRecipe.from_json_dict({"kind": "tree", "n": 3, "extra": 1})
-    with pytest.raises(ValueError):
-        ConstructionRecipe.from_json_dict({"n": 3})
-
-
-def test_recipe_from_json_refuses_non_objects_and_unknown_keys():
-    for data, message in (
-        (["tree"], "recipe JSON must be a JSON object"),
-        ("tree", "recipe JSON must be a JSON object"),
-        ({"kind": "tree", "n": 3, "depth": 2}, "recipe JSON has unknown key 'depth'"),
-        ({"n": 3}, "recipe JSON is missing 'kind'"),
-        ({"kind": "erdos-renyi", "n": 5, "p": 0.5, "seed": [1]}, "seed must be an integer"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            ConstructionRecipe.from_json_dict(data)
-
-
-def _recipes():
-    """Hypothesis strategy: recipes that validate, every kind and shape."""
-    shaped = st.one_of(
-        st.tuples(st.sampled_from([None, "path", "star"]), st.none()),
-        st.tuples(st.just("random"), st.integers(-2**70, 2**70)),
-    )
-    sizes = st.integers(1, MAX_VERTICES // 2)  # every kind builds at most 2 * size vertices
-    return st.one_of(
-        st.builds(lambda r, ts: ConstructionRecipe("sparsest-odd", r=r, tree_shape=ts[0], seed=ts[1]),
-                  sizes, shaped),
-        st.builds(lambda r: ConstructionRecipe("sparsest-even", r=r), sizes),
-        st.builds(lambda n, p, seed: ConstructionRecipe("erdos-renyi", n=n, p=p, seed=seed),
-                  sizes, st.floats(0.0, 1.0), st.integers(-2**70, 2**70)),
-        st.builds(lambda n, ts: ConstructionRecipe("tree", n=n, tree_shape=ts[0], seed=ts[1]),
-                  sizes, shaped),
-    )
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_recipes())
-def test_recipe_json_round_trip_property(recipe):
-    assert ConstructionRecipe.from_json_dict(json.loads(json.dumps(recipe.to_json_dict()))) == recipe
-
-
 @pytest.mark.parametrize("build_over_limit", [
     lambda: sparsest_odd(MAX_VERTICES // 2 + 1),
     lambda: sparsest_even(MAX_VERTICES // 2 + 1),
@@ -319,26 +220,11 @@ def test_sparsest_even_at_max_vertices():
     assert g.edge_count == (r * (3 * r - 2) + 2) // 2
 
 
-def test_recipes_build_at_the_vertex_limit():
-    for recipe in (
-        ConstructionRecipe(kind="sparsest-odd", r=MAX_VERTICES // 2),  # 2r - 1 vertices
-        ConstructionRecipe(kind="sparsest-even", r=MAX_VERTICES // 2),
-        ConstructionRecipe(kind="tree", n=MAX_VERTICES, tree_shape="random", seed=1),
-    ):
-        assert build(recipe).n >= MAX_VERTICES - 1
-    # G(n, p) at the limit draws n(n - 1)/2 numbers, so only its recipe is made
-    ConstructionRecipe(kind="erdos-renyi", n=MAX_VERTICES, p=0.5, seed=1)
-
-
-def test_build_dispatch():
-    cases = [
-        (ConstructionRecipe(kind="sparsest-odd", r=4), sparsest_odd(4)),
-        (ConstructionRecipe(kind="sparsest-even", r=3), sparsest_even(3)),
-        (ConstructionRecipe(kind="erdos-renyi", n=8, p=0.6, seed=9), erdos_renyi(8, 0.6, 9)),
-        (ConstructionRecipe(kind="tree", n=6, tree_shape="star"), tree_graph(6, "star")),
-    ]
-    for recipe, expected in cases:
-        assert build(recipe) == expected
+def test_builders_build_at_the_vertex_limit():
+    # sparsest_even at the limit is checked above; G(n, p) at the limit would
+    # draw n(n - 1)/2 numbers
+    assert sparsest_odd(MAX_VERTICES // 2).n == MAX_VERTICES - 1
+    assert tree_graph(MAX_VERTICES, "random", 1).n == MAX_VERTICES
 
 
 def test_random_tree_uses_seed_stream():

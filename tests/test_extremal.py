@@ -1,0 +1,71 @@
+"""Every graph on at most 7 vertices against the paper's bounds.
+
+The networkx graph atlas lists all 1,253 graphs with at most 7 vertices,
+one per isomorphism class, so counts over it are counts of non-isomorphic
+graphs.
+"""
+
+from collections import defaultdict
+
+import pytest
+
+from robustnet import edge_lower_bound, new_graph, robustness_levels, sparsest_odd
+
+nx = pytest.importorskip("networkx")
+
+
+def _to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    """{n: [(graph, r_max), ...]} over the atlas graphs with n >= 2."""
+    by_n = defaultdict(list)
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 2:
+            by_n[h.number_of_nodes()].append(new_graph(h.number_of_nodes(), h.edges()))
+    return {n: list(zip(graphs, robustness_levels(graphs))) for n, graphs in by_n.items()}
+
+
+def test_the_atlas_is_complete(atlas):
+    assert {n: len(certified) for n, certified in atlas.items()} == {
+        2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def test_ceiling_robust_graphs_meet_the_bounds_and_are_few(atlas):
+    extremal = {}
+    for n, certified in atlas.items():
+        r = (n + 1) // 2  # n is 2r - 1 or 2r
+        edge_counts = [g.edge_count for g, r_max in certified if r_max == r]
+        bound = edge_lower_bound(n, r).bound
+        assert min(edge_counts) == bound
+        extremal[n, r] = [g for g, r_max in certified if r_max == r and g.edge_count == bound]
+    assert {key: len(graphs) for key, graphs in extremal.items()} == {
+        (2, 1): 1, (3, 2): 1, (4, 2): 1, (5, 3): 1, (6, 3): 1, (7, 4): 2}
+    # the paper's constructions are one extremal family among several: at
+    # (7, 4) the path-tailed and the star-tailed sparsest_odd(4) both meet the bound
+    shapes = [_to_networkx(sparsest_odd(4, shape)) for shape in ("path", "star")]
+    for g in extremal[7, 4]:
+        assert sum(nx.is_isomorphic(_to_networkx(g), h) for h in shapes) == 1
+
+
+def test_ceiling_robust_graphs_at_odd_n_have_a_universal_vertex(atlas):
+    for n in (3, 5, 7):
+        robust = [g for g, r_max in atlas[n] if r_max == (n + 1) // 2]
+        assert robust
+        for g in robust:
+            assert any(g.degree(v) == n - 1 for v in range(n))
+
+
+def test_no_robust_graph_beyond_2r_vertices_goes_below_the_bound(atlas):
+    minima = {}
+    for n, certified in atlas.items():
+        for r in range(1, (n + 1) // 2):  # every r with n > 2r
+            minima[n, r] = min(g.edge_count for g, r_max in certified if r_max >= r)
+            assert minima[n, r] >= edge_lower_bound(n, r).bound
+    assert {key: minima[key] for key in ((5, 2), (6, 2), (7, 2), (7, 3))} == {
+        (5, 2): 6, (6, 2): 8, (7, 2): 10, (7, 3): 14}

@@ -18,8 +18,8 @@ from robustnet import (
     tree_graph,
 )
 from robustnet.graph import bits
-from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, ODD_CASE, _NONE,
-                                  _reach_terms, _subset_tables)
+from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, MIN_DEGREE, ODD_CASE,
+                                  _NONE, _reach_terms, _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -328,6 +328,18 @@ def test_certifier_memory_stays_within_16_bytes_per_subset():
         assert current < 1 << 16  # no subset table outlives the call
 
 
+def test_robustness_levels_memory_does_not_grow_with_the_stack():
+    # at n = 20 each slice holds one graph, so 16 graphs peak like one certification
+    rng = random.Random(2020)
+    graphs = [random_graph(rng, MAX_EXACT_N, 0.75) for _ in range(16)]
+    expected = [max_robustness(g).r_max for g in graphs]
+    single = _traced_memory(lambda: max_robustness(graphs[0]))[1]
+    levels = []
+    peak = _traced_memory(lambda: levels.extend(robustness_levels(graphs)))[1]
+    assert levels == expected
+    assert peak <= single + (1 << 18)
+
+
 def test_capability_limit_is_checked_before_tables_are_built():
     big = new_graph(MAX_EXACT_N + 1)
 
@@ -351,8 +363,13 @@ def test_edge_lower_bound_values():
     report = edge_lower_bound(2, 1)
     assert report.bound == 1 and report.kind == EVEN_CASE
     assert edge_lower_bound(1, 1).bound == 0
+    # past n = 2r the larger of 3r(r - 1)/2 and ceil(rn/2) (every degree is at least r)
     report = edge_lower_bound(9, 3)
-    assert report.bound == 9 and report.kind == GENERAL_COROLLARY
+    assert report.bound == 14 and report.kind == MIN_DEGREE
+    report = edge_lower_bound(9, 4)  # the two terms tie at 18
+    assert report.bound == 18 and report.kind == GENERAL_COROLLARY
+    report = edge_lower_bound(11, 5)
+    assert report.bound == 30 and report.kind == GENERAL_COROLLARY
 
 
 def test_edge_lower_bound_errors():
