@@ -25,7 +25,8 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import MAX_VERTICES, check_int, load_graph, parse_json, write_edge_list
+from .graph import (MAX_VERTICES, check_int, load_graph, parse_json, write_edge_list,
+                    write_text)
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -59,7 +60,7 @@ def cmd_certify(args) -> int:
     g = load_graph(args.graph)
     cert = max_robustness(g)
     report_path = Path(args.output) if args.output else Path(f"{args.graph}.cert.json")
-    report_path.write_text(json.dumps(cert.to_json_dict(), indent=2) + "\n")
+    write_text(report_path, json.dumps(cert.to_json_dict(), indent=2) + "\n")
     ceiling = (g.n + 1) // 2
     _say(args, f"r_max={cert.r_max} (ceiling {ceiling} for n={g.n})")
     if g.n == 1:
@@ -74,7 +75,7 @@ def cmd_certify(args) -> int:
             f"edges={g.edge_count} vs lower bound {bound.bound} ({bound.kind}), "
             f"slack {g.edge_count - bound.bound}",
         )
-        if g.n in (2 * cert.r_max - 1, 2 * cert.r_max):
+        if g.n > 1 and g.n in (2 * cert.r_max - 1, 2 * cert.r_max):  # n = 1 is 1-robust by convention
             structure = check_structural_lemmas(g, cert.r_max)
             for check in structure.checks:
                 status = "pass" if check.passed else "FAIL"
@@ -97,7 +98,7 @@ def cmd_simulate(args) -> int:
     csv_path, sidecar_path = write_trace(trace, args.out_prefix)
     verdict = check_validity(trace)
     verdict_path = Path(f"{args.out_prefix}.verdict.json")
-    verdict_path.write_text(json.dumps(verdict.to_json_dict(), indent=2) + "\n")
+    write_text(verdict_path, json.dumps(verdict.to_json_dict(), indent=2) + "\n")
     _say(args, f"trace written to {csv_path} (sidecar {sidecar_path}, verdict {verdict_path})")
     _say(args, f"agreement={verdict.agreement} validity={verdict.validity}")
     _say(args, f"converged_at={trace.converged_at} consensus_value={trace.consensus_value}")
@@ -129,8 +130,8 @@ def cmd_experiment(args) -> int:
     records, summary = run_experiment(config)
     records_path = out_dir / "records.csv"
     summary_path = out_dir / "summary.csv"
-    records_path.write_text(records_to_csv_text(records))
-    summary_path.write_text(summary_to_csv_text(summary))
+    write_text(records_path, records_to_csv_text(records))
+    write_text(summary_path, summary_to_csv_text(summary))
     for row in summary:
         min_edges = "-" if row.min_edges_found is None else row.min_edges_found
         gap = "-" if row.gap is None else row.gap
@@ -165,7 +166,7 @@ def cmd_bounds(args) -> int:
         lines.extend(f"{b.r:>3} {b.n:>4} {b.bound:>7}  {b.kind}" for b in reports)
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        write_text(args.output, text)
         _say(args, f"bounds written to {args.output}")
     else:
         print(text, end="")

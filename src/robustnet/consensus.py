@@ -27,7 +27,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, bits, check_fields, check_int, check_number
+from .graph import (MAX_VERTICES, Graph, bits, check_fields, check_int, check_number,
+                    write_text)
 
 Behavior = Callable[[int], float]
 
@@ -434,6 +435,6 @@ def write_trace(trace: SimulationTrace, prefix) -> tuple[Path, Path]:
     """Write <prefix>.csv and <prefix>.json; returns both paths."""
     csv_path = Path(f"{prefix}.csv")
     json_path = Path(f"{prefix}.json")
-    csv_path.write_text(trace_to_csv_text(trace))
-    json_path.write_text(json.dumps(trace_sidecar_dict(trace), indent=2) + "\n")
+    write_text(csv_path, trace_to_csv_text(trace))
+    write_text(json_path, json.dumps(trace_sidecar_dict(trace), indent=2) + "\n")
     return csv_path, json_path

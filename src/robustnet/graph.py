@@ -10,6 +10,8 @@ public API as plain frozensets; masks stay internal.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from numbers import Real
@@ -293,8 +295,32 @@ def graph_from_json_dict(data: dict) -> Graph:
     return new_graph(n, edges)
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, rewriting an existing file in place.
+
+    A new file is created with mode 0o666 less the umask.  An existing
+    regular file is overwritten from its start and then cut to the bytes
+    written, also when a write fails partway.  Opening without O_TRUNC
+    matters on ext4, where truncating a non-empty file to zero frees its
+    block and starts writeback at close.  A device or FIFO (/dev/null,
+    /dev/stdout) is written and never truncated.  Nothing is fsynced.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_edge_list(g: Graph, path) -> None:
-    Path(path).write_text(format_edge_list(g))
+    write_text(path, format_edge_list(g))
 
 
 def load_graph(path) -> Graph:

@@ -312,11 +312,13 @@ def edge_lower_bound(n: int, r: int) -> BoundReport:
 def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:
     """Clique and dense-subgraph structure every maximally robust graph carries.
 
-    An r-robust graph on 2r-1 vertices must contain an (r+1)-clique; on 2r
-    vertices it must contain a floor((r+4)/2)-clique and an (r+1)-vertex
-    induced subgraph with at least floor((r^2+2)/2) edges.  The caller is
-    expected to pass a graph already certified r-robust; the checks here are
-    unconditional searches reported with witnesses.  Limited to n <= MAX_EXACT_N.
+    An r-robust graph on 2r-1 vertices must contain an (r+1)-clique (for
+    r >= 2: the single vertex, r = 1, is 1-robust only by convention and has
+    no 2-clique); on 2r vertices it must contain a floor((r+4)/2)-clique and
+    an (r+1)-vertex induced subgraph with at least floor((r^2+2)/2) edges.
+    The caller is expected to pass a graph already certified r-robust; the
+    checks here are unconditional searches reported with witnesses.  Limited
+    to n <= MAX_EXACT_N.
     """
     check_exact_n(g.n, "check_structural_lemmas")
     if g.n == 2 * check_int(r, "robustness level", 1) - 1:

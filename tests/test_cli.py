@@ -1,6 +1,9 @@
 import argparse
+import errno
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -187,6 +190,8 @@ def test_certify_single_vertex_convention(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "r_max=1" in out
     assert "convention" in out
+    # an (r+1)-clique on 2r-1 vertices needs r >= 2: no structure check applies
+    assert "structure" not in out and "FAIL" not in out
 
 
 def test_certify_json_graph(tmp_path, capsys):
@@ -605,3 +610,81 @@ def test_deeply_nested_json_inputs_exit_2_without_artifacts(tmp_path, capsys, ki
     if kind == "graph":
         with pytest.raises(ValueError, match="nested"):
             load_graph(source)
+
+
+def _write_inputs(tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    main(["construct", "--kind", "sparsest-odd", "--r", "3",
+          "--output", str(inputs / "g.edges"), "--quiet"])
+    write_threat(inputs / "threat.json", f=1, malicious=(0,), value=5.0)
+    return inputs
+
+
+# each writer: its arguments given the output directory, and the files it writes there
+WRITERS = {
+    "construct": (lambda inputs, d: ["construct", "--kind", "sparsest-even", "--r", "3",
+                                     "--output", str(d / "g.edges")], ["g.edges"]),
+    "certify": (lambda inputs, d: ["certify", str(inputs / "g.edges"),
+                                   "--output", str(d / "cert.json")], ["cert.json"]),
+    "simulate": (lambda inputs, d: ["simulate", str(inputs / "g.edges"),
+                                    "--threat", str(inputs / "threat.json"),
+                                    "--out-prefix", str(d / "run")],
+                 ["run.csv", "run.json", "run.verdict.json"]),
+    "experiment": (lambda inputs, d: ["experiment", "--r-values", "1,2", "--samples-per-p", "1",
+                                      "--output-dir", str(d)], ["records.csv", "summary.csv"]),
+    "bounds": (lambda inputs, d: ["bounds", "--r-max", "3", "--format", "json",
+                                  "--output", str(d / "bounds.json")], ["bounds.json"]),
+}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_each_writer_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, command):
+    inputs = _write_inputs(tmp_path)
+    arguments, names = WRITERS[command]
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    code = main([*arguments(inputs, fresh), "--quiet"])
+    for name in names:
+        (stale / name).write_bytes(b"#" * (len((fresh / name).read_bytes()) + 5000))
+    assert main([*arguments(inputs, stale), "--quiet"]) == code
+    for name in names:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_certify_writes_to_dev_null(tmp_path):
+    inputs = _write_inputs(tmp_path)
+    assert main(["certify", str(inputs / "g.edges"), "--output", os.devnull, "--quiet"]) == 0
+
+
+def test_a_new_file_gets_the_default_mode_less_the_umask(tmp_path):
+    inputs = _write_inputs(tmp_path)
+    report = tmp_path / "cert.json"
+    old_umask = os.umask(0o002)
+    try:
+        assert main(["certify", str(inputs / "g.edges"), "--output", str(report), "--quiet"]) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(report.stat().st_mode) == 0o664
+
+
+def test_a_failed_write_leaves_the_file_cut_at_the_bytes_written(tmp_path, monkeypatch, capsys):
+    inputs = _write_inputs(tmp_path)
+    main(["certify", str(inputs / "g.edges"), "--output", str(tmp_path / "fresh.json"), "--quiet"])
+    report = tmp_path / "cert.json"
+    report.write_text("#" * 5000)
+    real_write = os.write
+    calls = []
+
+    def short_writes_then_a_full_disk(fd, data):
+        calls.append(fd)
+        if len(calls) > 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_writes_then_a_full_disk)
+    assert main(["certify", str(inputs / "g.edges"), "--output", str(report), "--quiet"]) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert report.read_bytes() == (tmp_path / "fresh.json").read_bytes()[:21]

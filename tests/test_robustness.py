@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from robustnet import (
     check_structural_lemmas,
     edge_lower_bound,
+    erdos_renyi,
     is_r_robust,
     max_robustness,
     new_graph,
@@ -394,6 +395,25 @@ def test_structural_checks_odd_case():
     (clique,) = report.checks
     assert clique.name == "clique"
     assert clique.required == 5 and clique.found >= 5
+
+
+def test_ceiling_robust_draws_at_odd_n_have_a_universal_vertex():
+    # the odd-case lemma: an r-robust graph on 2r - 1 vertices (r >= 2) has a
+    # vertex of degree n - 1; dense draws are ceiling-robust often enough to test it
+    robust = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((3, 5, 7, 9, 11, 13, 15)), st.floats(0.85, 0.95),
+           st.integers(0, 2**32 - 1))
+    def check(n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        if max_robustness(g).r_max == (n + 1) // 2:
+            robust.append(n)
+            assert any(g.degree(v) == n - 1 for v in range(n))
+
+    check()
+    # not vacuous: about half the draws reach the ceiling, at every n
+    assert len(robust) >= 80 and set(robust) == {3, 5, 7, 9, 11, 13, 15}
 
 
 def test_structural_checks_even_case():
