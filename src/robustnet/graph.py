@@ -301,9 +301,14 @@ def write_text(path, text: str) -> None:
     A new file is created with mode 0o666 less the umask.  An existing
     regular file is overwritten from its start and then cut to the bytes
     written, also when a write fails partway.  Opening without O_TRUNC
-    matters on ext4, where truncating a non-empty file to zero frees its
-    block and starts writeback at close.  A device or FIFO (/dev/null,
-    /dev/stdout) is written and never truncated.  Nothing is fsynced.
+    saves time only on an existing non-empty file: on ext4, truncating it
+    to zero frees its block and starts writeback at close.  A device or
+    FIFO (/dev/null, /dev/stdout) is written and never truncated.
+
+    Nothing is fsynced, and a rewrite is not ordered before the change of
+    length: after a crash, or to a concurrent reader, a rewritten file can
+    hold old and new bytes mixed, where a truncating write would leave the
+    new content or an empty file.
     """
     data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
