@@ -107,16 +107,12 @@ def cmd_simulate(args) -> int:
     return 0 if verdict.agreement and verdict.validity else 1
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _list_of(kind):
+    """argparse type: comma-separated values of kind, blank entries skipped."""
+    def parse(text: str) -> list:
+        return [kind(part.strip()) for part in text.split(",") if part.strip()]
+    parse.__name__ = f"{kind.__name__} list"  # argparse's error reads "invalid int list value"
+    return parse
 
 
 def cmd_experiment(args) -> int:
@@ -214,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", allow_abbrev=False,
                            help="run the bound-tightness random-graph sweep")
     p_exp.add_argument("--config", default=None, help="experiment config JSON file")
-    p_exp.add_argument("--r-values", type=_parse_int_list, default=None)
+    p_exp.add_argument("--r-values", type=_list_of(int), default=None)
     p_exp.add_argument("--samples-per-p", type=int, default=None)
-    p_exp.add_argument("--p-values", type=_parse_float_list, default=None)
-    p_exp.add_argument("--node-offsets", type=_parse_str_list, default=None)
+    p_exp.add_argument("--p-values", type=_list_of(float), default=None)
+    p_exp.add_argument("--node-offsets", type=_list_of(str), default=None)
     p_exp.add_argument("--master-seed", type=int, default=None)
     p_exp.add_argument("--max-attempts", type=int, default=None)
     p_exp.add_argument("--output-dir", default=None)

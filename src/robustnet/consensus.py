@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,6 +105,14 @@ def behavior_from_spec(spec: dict) -> Behavior:
     return build(**params)
 
 
+def _vertex_set(vertices) -> frozenset[int]:
+    """vertices, a list, tuple, set or frozenset, as a frozenset; each entry is checked
+    before the set is made, so True and 1 cannot collapse into one vertex."""
+    if not isinstance(vertices, (list, tuple, set, frozenset)):
+        raise ValueError(f"threat 'malicious' must be an array, got {vertices!r}")
+    return frozenset([check_int(v, "malicious vertex") for v in vertices])
+
+
 @dataclass(frozen=True)
 class ThreatModel:
     """Adversary scope and budget, the compromised set, and its trajectories.
@@ -121,8 +130,9 @@ class ThreatModel:
         if self.scope not in SCOPES:
             raise ValueError(f"threat scope must be one of {SCOPES}, got {self.scope!r}")
         check_int(self.f, "threat budget F")
-        for v in self.malicious:
-            check_int(v, "malicious vertex")
+        object.__setattr__(self, "malicious", _vertex_set(self.malicious))
+        if not isinstance(self.behaviors, Mapping):
+            raise ValueError(f"threat behaviors must be a mapping, got {self.behaviors!r}")
         missing = [v for v in sorted(self.malicious) if v not in self.behaviors]
         if missing:
             raise ValueError(f"malicious vertices {missing} have no behavior")
@@ -155,9 +165,7 @@ class ThreatModel:
         "behaviors" map (keyed by malicious vertex, as a string) override it.
         """
         check_fields(data, "threat spec", ("scope", "F", "malicious"), ("behavior", "behaviors"))
-        if not isinstance(data["malicious"], list):
-            raise ValueError(f"threat 'malicious' must be an array, got {data['malicious']!r}")
-        malicious = frozenset(check_int(v, "malicious vertex") for v in data["malicious"])
+        malicious = _vertex_set(data["malicious"])
         default = behavior_from_spec(data["behavior"]) if "behavior" in data else None
         per_vertex = check_fields(data.get("behaviors", {}), "'behaviors' map of malicious vertices",
                                   optional=[str(v) for v in malicious])

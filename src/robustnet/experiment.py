@@ -16,7 +16,7 @@ execution order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
@@ -40,7 +40,8 @@ def derive_seed(master_seed: int, r: int, n: int, p: float, attempt: int) -> int
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep parameters, checked when the config is made (dataclasses.replace too)."""
+    """Sweep parameters, checked when the config is made (dataclasses.replace too);
+    each value array may be a list or a tuple and is stored as a tuple."""
 
     r_values: tuple[int, ...] = DEFAULT_R_VALUES
     samples_per_p: int = 10
@@ -51,6 +52,11 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
+        for key in ("r_values", "p_values", "node_offsets"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{key} must be a JSON array, got {values!r}")
+            object.__setattr__(self, key, tuple(values))
         if not self.r_values:
             raise ValueError("at least one robustness target is required")
         for r in self.r_values:
@@ -76,25 +82,11 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "r_values": list(self.r_values),
-            "samples_per_p": self.samples_per_p,
-            "p_values": list(self.p_values),
-            "node_offsets": list(self.node_offsets),
-            "master_seed": self.master_seed,
-            "max_attempts": self.max_attempts,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = dict(check_fields(data, "experiment config", optional=cls.__dataclass_fields__))
-        for key in ("r_values", "p_values", "node_offsets"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], list):
-                    raise ValueError(f"{key} must be a JSON array, got {kwargs[key]!r}")
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**check_fields(data, "experiment config", optional=cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)

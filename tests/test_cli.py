@@ -382,6 +382,20 @@ def test_experiment_cli(tmp_path, capsys):
     assert (out_dir2 / "records.csv").read_text() == records
 
 
+def test_experiment_node_offsets_flag(tmp_path):
+    assert main(["experiment", "--r-values", "1,2", "--samples-per-p", "2",
+                 "--p-values", "0.8,0.9", "--node-offsets", "2r",
+                 "--output-dir", str(tmp_path), "--quiet"]) == 0
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [tuple(row.split(",")[:2]) for row in summary] == [("1", "2"), ("2", "4")]
+    # digests recorded before the config's array rule moved into its constructor
+    for name, digest in (
+        ("summary.csv", "1c8f4e3d43896696e3bd2fe979302340dfde721e3d0399fe210ad91ea4d16b38"),
+        ("records.csv", "e1d390b34225aaf080147a406d127098fe67e61c6d9adfd71ac57ca227012ea8"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_experiment_flags_override_config_fields(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"r_values": [1], "samples_per_p": 1, "p_values": [0.9],

@@ -329,6 +329,8 @@ _BAD_THREATS = [
     (dict(behaviors={}), dict(behavior=None)),  # no behavior
     *[(dict(malicious=frozenset({bad}), behaviors={bad: constant(1.0)}), dict(malicious=[bad]))
       for bad in (True, False, "a", 1.0, -1)],
+    (dict(malicious=5), dict(malicious=5)),  # not an array of vertices
+    (dict(behaviors=[0]), dict(behaviors=[0])),  # not a map of behaviors
 ]
 
 
@@ -343,6 +345,18 @@ def test_threat_is_checked_however_it_is_made(fields, json_fields):
         ThreatModel.from_json_dict(_threat_json(**json_fields))
     with pytest.raises(ValueError):
         dataclasses.replace(valid, **fields)
+
+
+def test_threat_built_from_a_list_simulates_like_its_frozenset_twin():
+    g = sparsest_odd(3)
+    behaviors = {0: linear_ramp(0.0, 2.0)}
+    listed = ThreatModel("F-local", 1, [0], behaviors)
+    twin = ThreatModel("F-local", 1, frozenset({0}), behaviors)
+    assert listed.malicious == twin.malicious and isinstance(listed.malicious, frozenset)
+    initial = [0.0, -40.0, 5.0, 12.0, 30.0]
+    trace, twin_trace = simulate(g, listed, initial), simulate(g, twin, initial)
+    assert np.array_equal(trace.states, twin_trace.states)
+    assert trace.converged_at == twin_trace.converged_at
 
 
 def test_threat_from_json():

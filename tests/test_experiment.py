@@ -62,6 +62,10 @@ _BAD_CONFIG_FIELDS = [
     dict(master_seed=True),
     dict(master_seed=1.0),
     dict(output_dir=5),
+    dict(p_values=0.5),
+    dict(r_values=3),
+    dict(p_values=()),
+    dict(node_offsets=()),
 ]
 
 
@@ -74,6 +78,13 @@ def test_config_is_checked_however_it_is_made(bad):
                                          for k, v in bad.items()})
     with pytest.raises(ValueError):
         dataclasses.replace(ExperimentConfig(), **bad)
+
+
+def test_config_arrays_may_be_lists_and_are_stored_as_tuples():
+    config = ExperimentConfig(r_values=[1, 2], p_values=[0.8], node_offsets=["2r"])
+    twin = ExperimentConfig(r_values=(1, 2), p_values=(0.8,), node_offsets=("2r",))
+    assert config == twin and hash(config) == hash(twin)
+    assert dataclasses.replace(twin, p_values=[0.8]) == twin
 
 
 def _configs():
