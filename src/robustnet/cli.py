@@ -3,7 +3,10 @@
 Exit codes: 0 when the subcommand's success condition holds, 1 when a run
 completes but its property fails (simulate without agreement+validity), and
 2 for input or usage errors.  Machine-readable artifacts are written before
-property-failure exits so a red run still leaves its data behind.
+property-failure exits so a red run still leaves its data behind.  Each
+subcommand writes its files and settles its exit code before it reads
+--quiet, so --quiet changes neither; the report after that, edge bound and
+structure checks included, is computed only when it is printed.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ from .graph import (MAX_VERTICES, check_int, load_graph, parse_json, write_edge_
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
 def cmd_construct(args) -> int:
     builder = KINDS[args.kind]
     options = {key: value for key in ("r", "n", "p", "seed", "tree_shape")
@@ -48,44 +46,40 @@ def cmd_construct(args) -> int:
                                   for key, value in options.items())])
     out = Path(args.output or f"{name}.edges")
     write_edge_list(g, out)
-    _say(args, f"wrote {out}")
-    _say(args, f"n={g.n} edges={g.edge_count}")
+    if args.quiet:
+        return 0
+    print(f"wrote {out}")
+    print(f"n={g.n} edges={g.edge_count}")
     if args.r is not None:
         report = edge_lower_bound(g.n, args.r)
-        _say(args, f"edge lower bound for {args.r}-robust on n={g.n}: {report.bound} ({report.kind})")
+        print(f"edge lower bound for {args.r}-robust on n={g.n}: {report.bound} ({report.kind})")
     return 0
 
 
 def cmd_certify(args) -> int:
     g = load_graph(args.graph)
     cert = max_robustness(g)
-    report_path = Path(args.output) if args.output else Path(f"{args.graph}.cert.json")
+    report_path = Path(args.output or f"{args.graph}.cert.json")
     write_text(report_path, json.dumps(cert.to_json_dict(), indent=2) + "\n")
-    ceiling = (g.n + 1) // 2
-    _say(args, f"r_max={cert.r_max} (ceiling {ceiling} for n={g.n})")
+    if args.quiet:
+        return 0
+    print(f"r_max={cert.r_max} (ceiling {(g.n + 1) // 2} for n={g.n})")
     if g.n == 1:
-        _say(args, "single-vertex convention: r_max=1, no witness pair exists")
+        print("single-vertex convention: r_max=1, no witness pair exists")
     if cert.witness is not None:
         s1, s2 = cert.witness
-        _say(args, f"witness: s1={sorted(s1)} s2={sorted(s2)}")
+        print(f"witness: s1={sorted(s1)} s2={sorted(s2)}")
     if cert.r_max >= 1:
         bound = edge_lower_bound(g.n, cert.r_max)
-        _say(
-            args,
-            f"edges={g.edge_count} vs lower bound {bound.bound} ({bound.kind}), "
-            f"slack {g.edge_count - bound.bound}",
-        )
+        print(f"edges={g.edge_count} vs lower bound {bound.bound} ({bound.kind}), "
+              f"slack {g.edge_count - bound.bound}")
         if g.n > 1 and g.n in (2 * cert.r_max - 1, 2 * cert.r_max):  # n = 1 is 1-robust by convention
-            structure = check_structural_lemmas(g, cert.r_max)
-            for check in structure.checks:
+            for check in check_structural_lemmas(g, cert.r_max).checks:
                 status = "pass" if check.passed else "FAIL"
-                _say(
-                    args,
-                    f"structure {check.name}: found {check.found}, "
-                    f"required {check.required}: {status}",
-                )
-    _say(args, f"pairs examined: {cert.pairs_examined}")
-    _say(args, f"certificate written to {report_path}")
+                print(f"structure {check.name}: found {check.found}, "
+                      f"required {check.required}: {status}")
+    print(f"pairs examined: {cert.pairs_examined}")
+    print(f"certificate written to {report_path}")
     return 0
 
 
@@ -99,12 +93,15 @@ def cmd_simulate(args) -> int:
     verdict = check_validity(trace)
     verdict_path = Path(f"{args.out_prefix}.verdict.json")
     write_text(verdict_path, json.dumps(verdict.to_json_dict(), indent=2) + "\n")
-    _say(args, f"trace written to {csv_path} (sidecar {sidecar_path}, verdict {verdict_path})")
-    _say(args, f"agreement={verdict.agreement} validity={verdict.validity}")
-    _say(args, f"converged_at={trace.converged_at} consensus_value={trace.consensus_value}")
+    code = 0 if verdict.agreement and verdict.validity else 1
+    if args.quiet:
+        return code
+    print(f"trace written to {csv_path} (sidecar {sidecar_path}, verdict {verdict_path})")
+    print(f"agreement={verdict.agreement} validity={verdict.validity}")
+    print(f"converged_at={trace.converged_at} consensus_value={trace.consensus_value}")
     lo, hi = trace.safety_interval
-    _say(args, f"safety interval [{lo}, {hi}], final disagreement {verdict.final_disagreement}")
-    return 0 if verdict.agreement and verdict.validity else 1
+    print(f"safety interval [{lo}, {hi}], final disagreement {verdict.final_disagreement}")
+    return code
 
 
 def _list_of(kind):
@@ -128,16 +125,15 @@ def cmd_experiment(args) -> int:
     summary_path = out_dir / "summary.csv"
     write_text(records_path, records_to_csv_text(records))
     write_text(summary_path, summary_to_csv_text(summary))
+    if args.quiet:
+        return 0
     for row in summary:
         min_edges = "-" if row.min_edges_found is None else row.min_edges_found
         gap = "-" if row.gap is None else row.gap
         flag = "  SHORTFALL" if row.shortfall else ""
-        _say(
-            args,
-            f"r={row.r} n={row.n:2d}: min_edges={min_edges} bound={row.bound} gap={gap} "
-            f"accepted {row.accepted}/{row.requested}{flag}",
-        )
-    _say(args, f"records written to {records_path}, summary to {summary_path}")
+        print(f"r={row.r} n={row.n:2d}: min_edges={min_edges} bound={row.bound} gap={gap} "
+              f"accepted {row.accepted}/{row.requested}{flag}")
+    print(f"records written to {records_path}, summary to {summary_path}")
     return 0
 
 
@@ -163,8 +159,9 @@ def cmd_bounds(args) -> int:
         text = "\n".join(lines) + "\n"
     if args.output:
         write_text(args.output, text)
-        _say(args, f"bounds written to {args.output}")
-    else:
+        if not args.quiet:
+            print(f"bounds written to {args.output}")
+    else:  # the table is the artifact: printed even under --quiet
         print(text, end="")
     return 0
 

@@ -57,7 +57,7 @@ def linear_ramp(start: float, slope: float) -> Behavior:
 
 
 def sinusoid(offset: float, amplitude: float, period: float) -> Behavior:
-    if period <= 0:
+    if not period > 0:  # NaN too: every value of its wave would be NaN
         raise ValueError(f"sinusoid period must be positive, got {period!r}")
     return lambda t: float(offset) + float(amplitude) * math.sin(2.0 * math.pi * t / period)
 

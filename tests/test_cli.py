@@ -317,7 +317,7 @@ def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
     assert not (tmp_path / "nan.verdict.json").exists()
 
 
-def test_simulate_validates_the_threat_once(tmp_path, monkeypatch):
+def test_simulate_validates_the_threat_once(tmp_path, monkeypatch, capsys):
     graph_file = tmp_path / "g5.edges"
     main(["construct", "--kind", "sparsest-odd", "--r", "3",
           "--output", str(graph_file), "--quiet"])
@@ -333,6 +333,7 @@ def test_simulate_validates_the_threat_once(tmp_path, monkeypatch):
     main(["simulate", str(graph_file), "--threat", str(threat_file),
           "--out-prefix", str(tmp_path / "run"), "--quiet"])
     assert calls == [5]
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("malicious, message", [
@@ -380,12 +381,14 @@ def test_experiment_cli(tmp_path, capsys):
           "--p-values", "0.8,0.9", "--master-seed", "3",
           "--output-dir", str(out_dir2), "--quiet"])
     assert (out_dir2 / "records.csv").read_text() == records
+    assert capsys.readouterr().out == ""
 
 
-def test_experiment_node_offsets_flag(tmp_path):
+def test_experiment_node_offsets_flag(tmp_path, capsys):
     assert main(["experiment", "--r-values", "1,2", "--samples-per-p", "2",
                  "--p-values", "0.8,0.9", "--node-offsets", "2r",
                  "--output-dir", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
     summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
     assert [tuple(row.split(",")[:2]) for row in summary] == [("1", "2"), ("2", "4")]
     # digests recorded before the config's array rule moved into its constructor
@@ -468,10 +471,29 @@ def test_experiment_invalid_config(tmp_path, capsys):
     assert "capability" in capsys.readouterr().err
 
 
-def test_quiet_suppresses_info(tmp_path, capsys):
+def test_quiet_suppresses_info(tmp_path, monkeypatch, capsys):
     out = tmp_path / "q.edges"
     assert main(["construct", "--kind", "sparsest-odd", "--r", "2",
                  "--output", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    graph = tmp_path / "g.edges"
+    assert main(["construct", "--kind", "sparsest-even", "--r", "4", "--output", str(graph)]) == 0
+    assert main(["certify", str(graph), "--output", str(tmp_path / "loud.json")]) == 0
+    assert "structure clique" in capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report was computed under --quiet")
+
+    # the bound and the structure checks are only ever printed
+    monkeypatch.setattr("robustnet.cli.edge_lower_bound", refuse)
+    monkeypatch.setattr("robustnet.cli.check_structural_lemmas", refuse)
+    quiet_graph = tmp_path / "q4.edges"
+    assert main(["construct", "--kind", "sparsest-even", "--r", "4", "--output", str(quiet_graph),
+                 "--quiet"]) == 0
+    assert quiet_graph.read_bytes() == graph.read_bytes()
+    assert main(["certify", str(quiet_graph), "--output", str(tmp_path / "quiet.json"),
+                 "--quiet"]) == 0
+    assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
     assert capsys.readouterr().out == ""
 
 

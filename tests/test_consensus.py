@@ -66,8 +66,9 @@ def test_behavior_library():
     wave = sinusoid(5.0, 2.0, 8.0)
     assert wave(0) == pytest.approx(5.0)
     assert wave(2) == pytest.approx(7.0)  # quarter period
-    with pytest.raises(ValueError):
-        sinusoid(0.0, 1.0, 0.0)
+    for period in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="sinusoid period must be positive"):
+            sinusoid(0.0, 1.0, period)
 
 
 def test_random_walk_is_order_independent():

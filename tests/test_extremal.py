@@ -1,4 +1,5 @@
-"""Every graph on at most 7 vertices against the paper's bounds.
+"""Every graph on at most 7 vertices against the paper's bounds, and two
+extremal graphs at n = 9 that the paper's constructions do not build.
 
 The networkx graph atlas lists all 1,253 graphs with at most 7 vertices,
 one per isomorphism class, so counts over it are counts of non-isomorphic
@@ -6,10 +7,12 @@ graphs.
 """
 
 from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
-from robustnet import edge_lower_bound, new_graph, robustness_levels, sparsest_odd
+from robustnet import (check_structural_lemmas, edge_lower_bound, is_r_robust, max_robustness,
+                       new_graph, robustness_levels, sparsest_odd)
 
 nx = pytest.importorskip("networkx")
 
@@ -69,3 +72,26 @@ def test_no_robust_graph_beyond_2r_vertices_goes_below_the_bound(atlas):
             assert minima[n, r] >= edge_lower_bound(n, r).bound
     assert {key: minima[key] for key in ((5, 2), (6, 2), (7, 2), (7, 3))} == {
         (5, 2): 6, (6, 2): 8, (7, 2): 10, (7, 3): 14}
+
+
+# Two of the four 30-edge 5-robust graphs on 9 vertices, found by an
+# exhaustive search over their sparse complements; the other two are the
+# path- and star-tailed sparsest_odd(5).
+FORK_TAILED_HUB = new_graph(9, [*((u, v) for u in range(4) for v in range(u + 1, 9)),
+                                (4, 5), (5, 6), (6, 7), (6, 8)])
+# complement: the triangle 0-1-2 with the pendant edges 0-3, 1-4 and 2-5
+THREE_UNIVERSAL = new_graph(9, set(combinations(range(9), 2))
+                            - {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)})
+
+
+@pytest.mark.parametrize("g, universal", [(FORK_TAILED_HUB, [0, 1, 2, 3]),
+                                          (THREE_UNIVERSAL, [6, 7, 8])],
+                         ids=["fork-tailed-hub", "three-universal"])
+def test_extremal_graphs_beyond_the_constructions(g, universal):
+    assert [v for v in range(9) if g.degree(v) == 8] == universal
+    assert g.edge_count == edge_lower_bound(9, 5).bound == 30
+    assert max_robustness(g).r_max == 5
+    [clique] = check_structural_lemmas(g, 5).checks
+    assert (clique.name, clique.required, clique.found) == ("clique", 6, 6)
+    for u, v in g.edges():
+        assert not is_r_robust(g.with_edge_removed(u, v), 5)[0]
