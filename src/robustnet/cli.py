@@ -28,8 +28,8 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import (MAX_VERTICES, check_int, load_graph, parse_json, write_edge_list,
-                    write_text)
+from .graph import (MAX_VERTICES, check_int, load_graph, parse_json, read_text,
+                    write_edge_list, write_text)
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -60,7 +60,7 @@ def cmd_certify(args) -> int:
     g = load_graph(args.graph)
     cert = max_robustness(g)
     report_path = Path(args.output or f"{args.graph}.cert.json")
-    write_text(report_path, json.dumps(cert.to_json_dict(), indent=2) + "\n")
+    write_text(report_path, cert.to_json_text())
     if args.quiet:
         return 0
     print(f"r_max={cert.r_max} (ceiling {(g.n + 1) // 2} for n={g.n})")
@@ -85,7 +85,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
-    threat = ThreatModel.from_json_dict(parse_json(Path(args.threat).read_text(), args.threat))
+    threat = ThreatModel.from_json_dict(parse_json(read_text(args.threat), args.threat))
     rng = random.Random(args.seed)
     initial = [0.0 if i in threat.malicious else rng.uniform(-100.0, 100.0) for i in range(g.n)]
     trace = simulate(g, threat, initial, max_steps=args.steps, tol=args.tol)
@@ -113,7 +113,7 @@ def _list_of(kind):
 
 
 def cmd_experiment(args) -> int:
-    config = (ExperimentConfig.from_json_dict(parse_json(Path(args.config).read_text(), args.config))
+    config = (ExperimentConfig.from_json_dict(parse_json(read_text(args.config), args.config))
               if args.config else ExperimentConfig())
     flags = {name: value for name in ExperimentConfig.__dataclass_fields__
              if (value := getattr(args, name)) is not None}

@@ -15,7 +15,6 @@ import stat
 import sys
 from dataclasses import dataclass
 from numbers import Real
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -256,30 +255,43 @@ def format_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, blank lines are skipped.
 
-    A header vertex count above MAX_VERTICES is rejected at once.
+    A header vertex count above MAX_VERTICES is rejected at once.  Each line
+    is split once and an edge line's two ends are kept flat; self-loops and
+    vertex ranges are checked after every line has parsed, edge by edge, so
+    a format error on any line is reported before a bad edge on an earlier
+    one, and a self-loop before a range error on the same edge.
     """
     n = None
-    edges = []
+    ends = []  # u0, v0, u1, v1, ...
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+        fields = raw.partition("#")[0].split()
         try:
+            if len(fields) == 2 and n is not None:
+                ends.append(int(fields[0]))
+                ends.append(int(fields[1]))
+                continue
             values = [int(f) for f in fields]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from exc
-        if n is None:
-            if len(values) != 1:
-                raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
-            n = check_vertex_count(values[0])
-        elif len(values) == 2:
-            edges.append((values[0], values[1]))
-        else:
+        if not values:
+            continue
+        if n is not None:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        if len(values) != 1:
+            raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
+        n = check_vertex_count(values[0])
     if n is None:
         raise ValueError("empty edge-list input")
-    return new_graph(n, edges)
+    rows = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def graph_to_json_dict(g: Graph) -> dict:
@@ -293,6 +305,17 @@ def graph_from_json_dict(data: dict) -> Graph:
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValueError("graph JSON 'edges' must be an array of [u, v] arrays")
     return new_graph(n, edges)
+
+
+def read_text(path) -> str:
+    """The whole file at path decoded as strict UTF-8, whatever the locale.
+
+    The reading twin of write_text: one unbuffered binary read, with no
+    text layer and no locale lookup.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError, a ValueError.
+    """
+    with open(path, "rb", buffering=0) as f:
+        return f.readall().decode("utf-8")
 
 
 def write_text(path, text: str) -> None:
@@ -334,7 +357,7 @@ def load_graph(path) -> Graph:
     Files declaring more than MAX_VERTICES vertices are rejected before the
     graph is built.
     """
-    text = Path(path).read_text()
+    text = read_text(path)
     if text.lstrip()[:1] == "{":
         return graph_from_json_dict(parse_json(text, path))
     return parse_edge_list(text)

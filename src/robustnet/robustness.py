@@ -73,6 +73,23 @@ class RobustnessCertificate:
             "pairs_examined": self.pairs_examined,
         }
 
+    def to_json_text(self) -> str:
+        """Exactly json.dumps(self.to_json_dict(), indent=2) + "\\n", built
+        directly: json.dumps with an indent always runs the pure-Python encoder."""
+        witness = "null"
+        if self.witness is not None:
+            s1, s2 = (_json_int_list(sorted(side)) for side in self.witness)
+            witness = f'{{\n    "s1": {s1},\n    "s2": {s2}\n  }}'
+        return (f'{{\n  "r_max": {self.r_max},\n  "witness": {witness},\n'
+                f'  "pairs_examined": {self.pairs_examined}\n}}\n')
+
+
+def _json_int_list(values) -> str:
+    """A list of ints as json.dumps(..., indent=2) writes it at depth 2."""
+    if not values:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
+
 
 @dataclass(frozen=True)
 class BoundReport:

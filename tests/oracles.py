@@ -20,6 +20,11 @@ listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
 sampler and the chunked sweep; they fix every graph and every record.
 
+oracle_parse_edge_list is the edge-list parser that preceded the one-pass
+reader: a list of ints per line, a (u, v) tuple per edge, and new_graph to
+check and place them.  It fixes every graph and every error message.
+edge_list_texts draws the texts it is compared on.
+
 DEFAULT_SWEEP_SHA256 is the sha256 of each CSV of the default
 ExperimentConfig() sweep, which every sweep path must reproduce.
 """
@@ -39,7 +44,7 @@ from robustnet import (
     new_graph,
 )
 from robustnet.experiment import NODE_OFFSET_CHOICES
-from robustnet.graph import bits
+from robustnet.graph import bits, check_vertex_count
 
 DEFAULT_SWEEP_SHA256 = {
     "records.csv": "972cd2a1f06b859138ad6f530de900748e6c8423e72d73148ad9c1e20c8fcf68",
@@ -334,3 +339,81 @@ def cycle_graph(n):
 
 def path_graph(n):
     return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def oracle_parse_edge_list(text):
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        try:
+            values = [int(f) for f in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from exc
+        if n is None:
+            if len(values) != 1:
+                raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
+            n = check_vertex_count(values[0])
+        elif len(values) == 2:
+            edges.append((values[0], values[1]))
+        else:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+    if n is None:
+        raise ValueError("empty edge-list input")
+    return new_graph(n, edges)
+
+
+# tokens int() reads in unusual ways, tokens it refuses, and header counts out of range
+_ODD_TOKENS = ["+1", "-1", "1_0", "\u0663", "007", "x", "1.5", "0x1", "1e2", "_1", "0", "16385"]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Hypothesis strategy: edge-list-like text, mostly well formed.
+
+    After up to two blank or comment lines comes a header, mostly a count
+    in 1..5, then lines that are mostly two vertices in -1..5 (so
+    self-loops and out-of-range ends are common) and otherwise 1 to 3
+    tokens, odd ones included.  Tokens are separated by spaces and tabs, a
+    line may carry a '#' comment, and lines end in any of the line breaks
+    str.splitlines knows.  One text in ten is shuffled, so its header may
+    come late or not at all.
+    """
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def vertex():
+        return str(draw(st.integers(-1, 5)))
+
+    def token():
+        return vertex() if draw(st.booleans()) else pick(_ODD_TOKENS)
+
+    def line(tokens, count):
+        text = pick(["", "", " ", "\t"]) + tokens()
+        for _ in range(count - 1):
+            text += pick([" ", "  ", "\t", " \t "]) + tokens()
+        return text + pick(["", "", "", "# note", "#", "  # 0 1", "#\t1 2 3"])
+
+    def blank():
+        return pick(["", "  ", "\t", "# only a comment"])
+
+    def usually():  # true in about four draws of five
+        return draw(st.integers(0, 4)) > 0
+
+    lines = [blank() for _ in range(draw(st.integers(0, 2)))]
+    lines.append(str(draw(st.integers(1, 5))) if usually() else line(token, draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 8))):
+        if usually():
+            lines.append(line(vertex, 2))
+        else:
+            lines.append(line(token, draw(st.integers(1, 3))) if draw(st.booleans()) else blank())
+    if draw(st.integers(0, 9)) == 0:
+        lines = draw(st.permutations(lines))
+    ends = [pick(_LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line break
+    return "".join(text + end for text, end in zip(lines, ends))

@@ -4,12 +4,16 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robustnet
 from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, erdos_renyi, format_edge_list,
                        graph_to_json_dict, load_graph, new_graph, sparsest_even, sparsest_odd,
-                       tree_graph)
+                       tree_graph, write_edge_list)
 from robustnet.cli import _build_parser, main
 
 from oracles import DEFAULT_SWEEP_SHA256
@@ -192,6 +196,67 @@ def test_certify_single_vertex_convention(tmp_path, capsys):
     assert "convention" in out
     # an (r+1)-clique on 2r-1 vertices needs r >= 2: no structure check applies
     assert "structure" not in out and "FAIL" not in out
+
+
+# sha256 of the certificate bytes, recorded when certificates were still written by json.dumps
+CERTIFICATE_SHA256 = {
+    "new_graph(1)": (new_graph(1), "8e0677f4980a0bcdaffb3e3bca30842a68acbe503f4a590eef69e1bddbd8bc96"),
+    "new_graph(2)": (new_graph(2), "62a5e230a4bda26c8e73e4cb9c682e19c14e0234033cbac48ebafbca8af17b09"),
+    "sparsest_odd(4)": (sparsest_odd(4),
+                        "0afd635681ef64792057f22182ef6165456505bcc8d4d730dc62b39397d34435"),
+    "sparsest_even(8)": (sparsest_even(8),
+                         "2c4aa2ab74c841d2dd8b0ac9f0dac730525f3e58a863a567dc815e73986bf9d7"),
+    "erdos_renyi(9, 0.5, 1)": (erdos_renyi(9, 0.5, 1),
+                               "5436a434cd8747e94e616556df69323737ad75a67050ae8d4faa66c6612e7fd7"),
+    "erdos_renyi(14, 0.7, 3)": (erdos_renyi(14, 0.7, 3),
+                                "27a7179ae4fa2a5b78dce774e244d9c202d79eb09e8d275c1dd8ca9a3b59f512"),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_SHA256)
+def test_certify_writes_the_recorded_certificate_bytes(tmp_path, name):
+    g, digest = CERTIFICATE_SHA256[name]
+    write_edge_list(g, tmp_path / "g.edges")
+    assert main(["certify", str(tmp_path / "g.edges"), "--output", str(tmp_path / "c.json"),
+                 "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == digest
+
+
+def _run_in_ascii_locale(cwd, *args):
+    """robustnet's command line in a child whose locale encoding is ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(robustnet.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "robustnet.cli", *args, "--quiet"], cwd=cwd,
+                          env=env, capture_output=True, text=True, errors="replace")
+
+
+def _non_ascii_inputs(tmp_path):
+    (tmp_path / "g.edges").write_bytes("# r\u00e9seau \u00e1\r\n3\r\n0 1\r\n1 2\r\n".encode("utf-8"))
+    # a threat spec has no free-text field: the non-ASCII value is replaced by a later duplicate key
+    (tmp_path / "t.json").write_bytes(
+        '{"scope": "F-l\u00f3cal", "scope": "F-local", "F": 0, "malicious": []}'.encode("utf-8"))
+    config = {"r_values": [1], "samples_per_p": 1, "p_values": [0.9], "output_dir": "r\u00e9sultats"}
+    (tmp_path / "c.json").write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
+
+
+# (arguments, a file the run writes)
+_NON_ASCII_READS = {
+    "certify": (["certify", "g.edges", "--output", "cert.json"], "cert.json"),
+    "simulate": (["simulate", "g.edges", "--threat", "t.json", "--out-prefix", "run"],
+                 "run.verdict.json"),
+    # the flag replaces the non-ASCII output_dir, which an ASCII file system encoding cannot name
+    "experiment": (["experiment", "--config", "c.json", "--output-dir", "exp"], "exp/summary.csv"),
+}
+
+
+@pytest.mark.parametrize("command", _NON_ASCII_READS)
+def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
+    _non_ascii_inputs(tmp_path)
+    args, written = _NON_ASCII_READS[command]
+    done = _run_in_ascii_locale(tmp_path, *args)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / written).is_file()
 
 
 def test_certify_json_graph(tmp_path, capsys):

@@ -23,15 +23,17 @@ from robustnet import (
     sparsest_odd,
     write_edge_list,
 )
-from robustnet.graph import check_fields, check_int, check_number
+from robustnet.graph import check_fields, check_int, check_number, read_text
 
 from oracles import (
     complete_graph,
     cycle_graph,
+    edge_list_texts,
     has_clique_of_size,
     loop_densest_subset,
     oracle_densest_subset,
     oracle_max_clique,
+    oracle_parse_edge_list,
     path_graph,
     random_graph,
     small_graphs,
@@ -337,15 +339,49 @@ def test_edge_list_comments_and_blanks():
     assert g.n == 4 and g.edge_count == 2
 
 
-def test_edge_list_errors():
-    with pytest.raises(ValueError):
-        parse_edge_list("")
-    with pytest.raises(ValueError):
-        parse_edge_list("3\n0 1 2\n")
-    with pytest.raises(ValueError):
-        parse_edge_list("3\n0 x\n")
-    with pytest.raises(ValueError):
-        parse_edge_list("2 2\n")
+# each message as the parser that built a (u, v) list and called new_graph gave it
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge-list input"),
+    ("3\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+    ("3\n0 x\n", "line 2: expected integers, got '0 x'"),
+    ("2 2\n", "line 1: expected a single vertex count, got '2 2'"),
+    ("3\n0 3\n", "edge (0, 3) out of range for n=3"),
+    ("3\n1 1\n", "self-loop (1, 1) not allowed"),
+    ("3\n0 5\n0 1 2\n", "line 3: expected 'u v', got '0 1 2'"),  # a format error on any line first
+    ("3\n0 1\n5 5\n", "self-loop (5, 5) not allowed"),  # then, per edge, a self-loop before a range
+    ("16385\n", "graph declares 16385 nodes, above the limit of 16384"),
+])
+def test_edge_list_errors(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edge_list_texts())
+def test_edge_list_parser_matches_its_oracle(text):
+    assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+
+
+def test_read_text_decodes_utf8_and_keeps_line_ends(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes("# caf\u00e9\r\n3\r0 1\n".encode("utf-8"))
+    assert read_text(path) == "# caf\u00e9\r\n3\r0 1\n"
+    assert load_graph(path) == new_graph(3, [(0, 1)])
+    path.write_bytes(b"3\n0 1 # \xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_text(path)
+    with pytest.raises(FileNotFoundError, match="missing"):
+        read_text(tmp_path / "missing")
+    with pytest.raises(IsADirectoryError):
+        read_text(tmp_path)
 
 
 def test_json_round_trip():

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -127,6 +128,23 @@ def test_certificate_json_schema():
     data = cert.to_json_dict()
     assert set(data) == {"r_max", "witness", "pairs_examined"}
     assert data["witness"] == {"s1": [0, 1], "s2": [2, 3]}
+
+
+def _certified_graphs():
+    yield new_graph(1)  # the null witness
+    yield new_graph(2)
+    for r in range(1, 9):
+        yield sparsest_odd(r)
+        yield sparsest_even(r)
+    for n in range(2, 15):
+        for p in (0.3, 0.7, 0.95):
+            yield erdos_renyi(n, p, 1000 * n + int(100 * p))
+
+
+def test_certificate_text_is_the_indented_json_dump():
+    for g in _certified_graphs():
+        cert = max_robustness(g)
+        assert cert.to_json_text() == json.dumps(cert.to_json_dict(), indent=2) + "\n"
 
 
 def test_robustness_ceiling():
