@@ -310,9 +310,10 @@ def graph_from_json_dict(data: dict) -> Graph:
 def read_text(path) -> str:
     """The whole file at path decoded as strict UTF-8, whatever the locale.
 
-    The reading twin of write_text: one unbuffered binary read, with no
-    text layer and no locale lookup.  Bytes that are not UTF-8 raise
-    UnicodeDecodeError, a ValueError.
+    The reading twin of write_text: the file is opened unbuffered in binary
+    and read whole, with no text layer and no locale lookup.  Line ends are
+    kept as they are.  Bytes that are not UTF-8 raise UnicodeDecodeError, a
+    ValueError.
     """
     with open(path, "rb", buffering=0) as f:
         return f.readall().decode("utf-8")

@@ -225,8 +225,8 @@ def test_certify_writes_the_recorded_certificate_bytes(tmp_path, name):
 def _run_in_ascii_locale(cwd, *args):
     """robustnet's command line in a child whose locale encoding is ASCII."""
     env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-           "PYTHONPATH": os.pathsep.join([str(Path(robustnet.__file__).parents[1]),
-                                          os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(robustnet.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "robustnet.cli", *args, "--quiet"], cwd=cwd,
                           env=env, capture_output=True, text=True, errors="replace")
 

@@ -130,19 +130,11 @@ def test_certificate_json_schema():
     assert data["witness"] == {"s1": [0, 1], "s2": [2, 3]}
 
 
-def _certified_graphs():
-    yield new_graph(1)  # the null witness
-    yield new_graph(2)
-    for r in range(1, 9):
-        yield sparsest_odd(r)
-        yield sparsest_even(r)
-    for n in range(2, 15):
-        for p in (0.3, 0.7, 0.95):
-            yield erdos_renyi(n, p, 1000 * n + int(100 * p))
-
-
 def test_certificate_text_is_the_indented_json_dump():
-    for g in _certified_graphs():
+    graphs = [new_graph(1), new_graph(2)]  # the null witness, then the smallest pair
+    graphs += [build(r) for r in range(1, 9) for build in (sparsest_odd, sparsest_even)]
+    graphs += [erdos_renyi(n, p, 1000 * n + int(100 * p)) for n in range(2, 15) for p in (0.3, 0.7, 0.95)]
+    for g in graphs:
         cert = max_robustness(g)
         assert cert.to_json_text() == json.dumps(cert.to_json_dict(), indent=2) + "\n"
 
