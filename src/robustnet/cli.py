@@ -28,8 +28,7 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import (MAX_VERTICES, check_int, load_graph, parse_json, read_text,
-                    write_edge_list, write_text)
+from .graph import MAX_VERTICES, check_int, load_graph, read_input, write_edge_list, write_text
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -85,7 +84,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
-    threat = ThreatModel.from_json_dict(parse_json(read_text(args.threat), args.threat))
+    threat = read_input(args.threat, lambda text: ThreatModel.from_json_dict(json.loads(text)))
     rng = random.Random(args.seed)
     initial = [0.0 if i in threat.malicious else rng.uniform(-100.0, 100.0) for i in range(g.n)]
     trace = simulate(g, threat, initial, max_steps=args.steps, tol=args.tol)
@@ -113,7 +112,7 @@ def _list_of(kind):
 
 
 def cmd_experiment(args) -> int:
-    config = (ExperimentConfig.from_json_dict(parse_json(read_text(args.config), args.config))
+    config = (read_input(args.config, lambda text: ExperimentConfig.from_json_dict(json.loads(text)))
               if args.config else ExperimentConfig())
     flags = {name: value for name in ExperimentConfig.__dataclass_fields__
              if (value := getattr(args, name)) is not None}
@@ -185,13 +184,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--seed", type=int, default=None, help="seed of the randomized kinds")
     p_construct.add_argument("--tree-shape", choices=TREE_SHAPES, default=None)
     p_construct.add_argument("--output", default=None, help="edge-list path")
-    p_construct.set_defaults(func=cmd_construct)
 
     p_certify = sub.add_parser("certify", allow_abbrev=False,
                                help="certify exact maximum robustness of a graph file")
     p_certify.add_argument("graph", help="edge-list or JSON graph file")
     p_certify.add_argument("--output", default=None, help="certificate path (default GRAPH.cert.json)")
-    p_certify.set_defaults(func=cmd_certify)
 
     p_sim = sub.add_parser("simulate", allow_abbrev=False,
                            help="run W-MSR consensus under a threat model")
@@ -201,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=500, help="maximum update steps")
     p_sim.add_argument("--tol", type=float, default=1e-6, help="convergence spread tolerance")
     p_sim.add_argument("--out-prefix", default="simulation", help="prefix for trace/verdict files")
-    p_sim.set_defaults(func=cmd_simulate)
 
     # every flag defaults to None and, when given, replaces the config field of its name
     p_exp = sub.add_parser("experiment", allow_abbrev=False,
@@ -214,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--master-seed", type=int, default=None)
     p_exp.add_argument("--max-attempts", type=int, default=None)
     p_exp.add_argument("--output-dir", default=None)
-    p_exp.set_defaults(func=cmd_experiment)
 
     p_bounds = sub.add_parser("bounds", allow_abbrev=False,
                               help="print the edge lower-bound table for a range of r")
@@ -223,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", choices=("csv", "json"), default=None,
                           help="machine-readable table format")
     p_bounds.add_argument("--output", default=None, help="table path (default stdout)")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     for command in sub.choices.values():
         command.add_argument("--quiet", action="store_true", help="suppress informational output")
@@ -232,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # found by name at each call, so a cmd_* replaced on this module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,11 +54,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for key in ("r_values", "p_values", "node_offsets"):
             values = getattr(self, key)
-            if not isinstance(values, (list, tuple)):
-                raise ValueError(f"{key} must be a JSON array, got {values!r}")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{key} must be a JSON array of at least one value, got {values!r}")
             object.__setattr__(self, key, tuple(values))
-        if not self.r_values:
-            raise ValueError("at least one robustness target is required")
         for r in self.r_values:
             if 2 * check_int(r, "robustness target", 1) > MAX_EXACT_N:
                 raise ValueError(
@@ -66,13 +64,9 @@ class ExperimentConfig:
                     f"beyond the capability limit {MAX_EXACT_N}"
                 )
         check_int(self.samples_per_p, "samples_per_p", 1)
-        if not self.p_values:
-            raise ValueError("at least one edge probability is required")
         for p in self.p_values:
             if not 0.0 < check_number(p, "edge probability") <= 1.0:
                 raise ValueError(f"edge probabilities must lie in (0, 1], got {p!r}")
-        if not self.node_offsets:
-            raise ValueError("at least one node offset is required")
         for offset in self.node_offsets:
             if offset not in NODE_OFFSET_CHOICES:
                 raise ValueError(f"node offsets must be among {NODE_OFFSET_CHOICES}, got {offset!r}")

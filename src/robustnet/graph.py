@@ -69,14 +69,6 @@ def check_fields(data, what: str, required=(), optional=()) -> dict:
     return data
 
 
-def parse_json(text: str, source) -> object:
-    """The JSON value in text; nesting too deep for the parser raises ValueError naming source."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{source}: JSON nested too deeply to parse") from None
-
-
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -152,12 +144,26 @@ def check_vertex_count(n) -> int:
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-    """Build a graph on n <= MAX_VERTICES vertices from unordered pairs; duplicates collapse."""
-    rows = [0] * check_vertex_count(n)
+    """Build a graph on n <= MAX_VERTICES vertices from unordered pairs; duplicates collapse.
+
+    Every pair must hold two ints before the edge rule checks any of them.
+    """
+    check_vertex_count(n)
+    ends = []
     for pair in edges:
         u, v = pair
         if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
             raise ValueError(f"edge {pair!r} must be a pair of integers")
+        ends += u, v
+    return _graph_from_ends(n, ends)
+
+
+def _graph_from_ends(n: int, ends: list[int]) -> Graph:
+    """The graph on n vertices with edges (ends[0], ends[1]), (ends[2], ends[3]), ... under
+    the one edge rule: edge by edge, a self-loop is refused before an end out of range."""
+    rows = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -256,10 +262,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, blank lines are skipped.
 
     A header vertex count above MAX_VERTICES is rejected at once.  Each line
-    is split once and an edge line's two ends are kept flat; self-loops and
-    vertex ranges are checked after every line has parsed, edge by edge, so
-    a format error on any line is reported before a bad edge on an earlier
-    one, and a self-loop before a range error on the same edge.
+    is split once and an edge line's two ends are kept flat; the edge rule
+    of _graph_from_ends runs after every line has parsed, so a format error
+    on any line is reported before a bad edge on an earlier one.
     """
     n = None
     ends = []  # u0, v0, u1, v1, ...
@@ -282,16 +287,7 @@ def parse_edge_list(text: str) -> Graph:
         n = check_vertex_count(values[0])
     if n is None:
         raise ValueError("empty edge-list input")
-    rows = [0] * n
-    pairs = iter(ends)
-    for u, v in zip(pairs, pairs):
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _graph_from_ends(n, ends)
 
 
 def graph_to_json_dict(g: Graph) -> dict:
@@ -307,16 +303,23 @@ def graph_from_json_dict(data: dict) -> Graph:
     return new_graph(n, edges)
 
 
-def read_text(path) -> str:
-    """The whole file at path decoded as strict UTF-8, whatever the locale.
+def read_input(path, parse):
+    """parse applied to the text of the file at path: the one reader of every input file.
 
-    The reading twin of write_text: the file is opened unbuffered in binary
-    and read whole, with no text layer and no locale lookup.  Line ends are
-    kept as they are.  Bytes that are not UTF-8 raise UnicodeDecodeError, a
-    ValueError.
+    The reading twin of write_text: the file is opened unbuffered in binary,
+    read whole and decoded as strict UTF-8, with no text layer and no locale
+    lookup.  Line ends are kept as they are.  Any ValueError from the bytes
+    or from parse (JSON syntax, nesting too deep, shape or range) is raised
+    as ValueError("<path>: <message>"); an OSError passes unchanged.
     """
     with open(path, "rb", buffering=0) as f:
-        return f.readall().decode("utf-8")
+        data = f.readall()
+    try:
+        return parse(data.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to parse") from None
 
 
 def write_text(path, text: str) -> None:
@@ -355,10 +358,14 @@ def write_edge_list(g: Graph, path) -> None:
 def load_graph(path) -> Graph:
     """Read a graph file in either edge-list or JSON form (sniffed by content).
 
-    Files declaring more than MAX_VERTICES vertices are rejected before the
-    graph is built.
+    The file is read by read_input, so every error about its bytes or
+    content starts with its path.  Files declaring more than MAX_VERTICES
+    vertices are rejected before the graph is built.
     """
-    text = read_text(path)
+    return read_input(path, _parse_graph)
+
+
+def _parse_graph(text: str) -> Graph:
     if text.lstrip()[:1] == "{":
-        return graph_from_json_dict(parse_json(text, path))
+        return graph_from_json_dict(json.loads(text))
     return parse_edge_list(text)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import robustnet
+import robustnet.cli
 from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, erdos_renyi, format_edge_list,
                        graph_to_json_dict, load_graph, new_graph, sparsest_even, sparsest_odd,
                        tree_graph, write_edge_list)
@@ -635,6 +636,14 @@ def test_undeclared_options_are_usage_errors(tmp_path, monkeypatch, capsys, comm
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_subcommands_are_found_by_name_when_called(tmp_path, monkeypatch):
+    _build_parser()  # cached, so the parser was built before the replacement
+    calls = []
+    monkeypatch.setattr(robustnet.cli, "cmd_certify", lambda args: calls.append(args.graph) or 7)
+    assert main(["certify", str(tmp_path / "g.edges")]) == 7
+    assert calls == [str(tmp_path / "g.edges")]
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -645,7 +654,7 @@ def _walk(**params):
     return {"kind": "random-walk", **params}
 
 
-# (input file, its JSON, a substring its one error line must contain)
+# (input file, its JSON or its raw bytes, a substring its one error line must contain)
 _HOSTILE_INPUTS = [
     ("threat", {"behaviors": [1]}, "'behaviors'"),
     ("threat", {"behavior": _walk(seed=[1])}, "seed"),
@@ -659,6 +668,14 @@ _HOSTILE_INPUTS = [
     ("graph", {"n": 2, "edges": [[0, 1]], "extra": 1}, "'extra'"),
     ("threat", {"behavior": {"kind": "chaos"}, "behaviors": {"0": {"kind": "constant", "value": 1.0}}},
      "'chaos'"),
+    # not UTF-8, truncated JSON, a bad edge-list line
+    ("graph", b"3\n0 1 # \xff\n", "can't decode byte 0xff"),
+    ("graph", b'{"n": 3, "edges": [[0, 1]', "Expecting"),
+    ("graph", b"3\n0 1 2\n", "line 2: expected 'u v'"),
+    ("threat", b'{"scope": "F-local", "F": 1\xff}', "can't decode byte 0xff"),
+    ("threat", b'{"scope": "F-local", ', "Expecting property name"),
+    ("config", b'{"r_values": [1], "output_dir": "\xff"}', "can't decode byte 0xff"),
+    ("config", b'{"r_values": [1', "Expecting"),
 ]
 
 
@@ -669,23 +686,21 @@ def test_malformed_json_inputs_exit_2_without_artifacts(tmp_path, capsys, kind, 
     threat = {"scope": "F-local", "F": 1, "malicious": [0],
               "behavior": {"kind": "constant", "value": 150.0}}
     config = {"r_values": [1], "samples_per_p": 1, "p_values": [0.9]}
-    if kind == "graph":
-        graph_file = tmp_path / "g.json"
-        graph_file.write_text(json.dumps(data))
-        args = ["certify", str(graph_file)]
-    elif kind == "threat":
-        threat_file = tmp_path / "threat.json"
-        threat_file.write_text(json.dumps({**threat, **data}))
-        args = ["simulate", str(graph_file), "--threat", str(threat_file),
-                "--out-prefix", str(tmp_path / "run")]
+    source = tmp_path / f"{kind}.json"
+    if isinstance(data, bytes):
+        source.write_bytes(data)
     else:
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({**config, **data}))
-        args = ["experiment", "--config", str(config_file)]
+        source.write_text(json.dumps({**{"graph": {}, "threat": threat, "config": config}[kind], **data}))
+    args = {
+        "graph": ["certify", str(source)],
+        "threat": ["simulate", str(graph_file), "--threat", str(source),
+                   "--out-prefix", str(tmp_path / "run")],
+        "config": ["experiment", "--config", str(source)],
+    }[kind]
     before = sorted(tmp_path.iterdir())
     assert main(args) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and named in errors[0]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {source}: ") and named in errors[0]
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -116,8 +116,9 @@ def test_config_json_round_trip():
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict([1, 2])
     for key in ("r_values", "p_values", "node_offsets"):
-        with pytest.raises(ValueError, match=f"{key} must be a JSON array"):
-            ExperimentConfig.from_json_dict({key: data[key][0]})
+        for bad in (data[key][0], []):
+            with pytest.raises(ValueError, match=f"{key} must be a JSON array"):
+                ExperimentConfig.from_json_dict({key: bad})
 
 
 def small_config(**overrides):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -23,7 +24,7 @@ from robustnet import (
     sparsest_odd,
     write_edge_list,
 )
-from robustnet.graph import check_fields, check_int, check_number, read_text
+from robustnet.graph import check_fields, check_int, check_number, read_input
 
 from oracles import (
     complete_graph,
@@ -63,6 +64,18 @@ def test_new_graph_rejects_bad_input():
         new_graph(3, [(0, "1")])
     with pytest.raises(ValueError):
         new_graph("3", [])
+
+
+def test_new_graph_reports_the_first_faulty_edge():
+    # every pair's int check comes first; then, edge by edge, a self-loop before a range error
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
+        new_graph(3, [(0, 3), (1, 1)])
+    with pytest.raises(ValueError, match=r"^self-loop \(1, 1\) not allowed$"):
+        new_graph(3, [(1, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"^self-loop \(4, 4\) not allowed$"):
+        new_graph(3, [(4, 4)])
+    with pytest.raises(ValueError, match=r"^edge \(0, '1'\) must be a pair of integers$"):
+        new_graph(3, [(1, 1), (0, "1")])
 
 
 def test_check_int_accepts_only_ints_in_range():
@@ -370,18 +383,22 @@ def test_edge_list_parser_matches_its_oracle(text):
     assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
 
 
-def test_read_text_decodes_utf8_and_keeps_line_ends(tmp_path):
+def test_read_input_decodes_utf8_and_keeps_line_ends(tmp_path):
     path = tmp_path / "g.edges"
     path.write_bytes("# caf\u00e9\r\n3\r0 1\n".encode("utf-8"))
-    assert read_text(path) == "# caf\u00e9\r\n3\r0 1\n"
+    assert read_input(path, str) == "# caf\u00e9\r\n3\r0 1\n"
     assert load_graph(path) == new_graph(3, [(0, 1)])
+    named = f"^{re.escape(str(path))}: "
+    with pytest.raises(ValueError, match=named + "invalid literal for int"):
+        read_input(path, int)
     path.write_bytes(b"3\n0 1 # \xff\n")
-    with pytest.raises(UnicodeDecodeError):
-        read_text(path)
+    with pytest.raises(ValueError, match=named + "'utf-8' codec can't decode byte 0xff") as err:
+        read_input(path, str)
+    assert not isinstance(err.value, UnicodeDecodeError)
     with pytest.raises(FileNotFoundError, match="missing"):
-        read_text(tmp_path / "missing")
+        read_input(tmp_path / "missing", str)
     with pytest.raises(IsADirectoryError):
-        read_text(tmp_path)
+        read_input(tmp_path, str)
 
 
 def test_json_round_trip():
