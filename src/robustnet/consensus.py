@@ -179,11 +179,14 @@ class SimulationTrace:
     """Recorded run: row t of states is the full network state at time t."""
 
     states: np.ndarray
-    normal: frozenset[int]
     malicious: frozenset[int]
     converged_at: Optional[int]
     consensus_value: Optional[float]
     safety_interval: tuple[float, float]
+
+    @property
+    def normal(self) -> frozenset[int]:
+        return frozenset(range(self.states.shape[1])) - self.malicious
 
 
 @dataclass(frozen=True)
@@ -357,10 +360,9 @@ def simulate(
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     threat.validate(g)
     x0 = _as_state_vector(g, initial)
-    normal = frozenset(range(g.n)) - threat.malicious
-    if not normal:
+    order = [v for v in range(g.n) if v not in threat.malicious]
+    if not order:
         raise ValueError("at least one normal agent is required")
-    order = sorted(normal)
     table = _neighbor_table(g, order)
     idx = np.array(order, dtype=np.intp)
     trajectories = [(m, threat.behaviors[m]) for m in sorted(threat.malicious)]
@@ -391,7 +393,6 @@ def simulate(
     first = states[0, idx].tolist()  # Python's min keeps the first of 0.0 and -0.0; np.min may not
     return SimulationTrace(
         states=states,
-        normal=normal,
         malicious=threat.malicious,
         converged_at=t if converged else None,
         consensus_value=float(ns.mean()) if converged else None,

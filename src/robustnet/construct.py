@@ -33,7 +33,7 @@ def _hub_graph(n: int, hubs: int, toggled=()) -> Graph:
     for u, v in toggled:
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def _random_tree_edges(vertices: list[int], rng: random.Random) -> list[tuple[int, int]]:
@@ -115,7 +115,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
             if draw() < p:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:

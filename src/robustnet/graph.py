@@ -79,10 +79,16 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph, immutable once built (use :func:`new_graph`)."""
+    """Simple undirected graph on n = len(rows) vertices, immutable once built.
 
-    n: int
+    Graph(rows) trusts its rows: new_graph, the file readers, the construct
+    builders and with_edge_removed make them symmetric, loop-free and in range."""
+
     rows: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @property
     def edge_count(self) -> int:
@@ -122,7 +128,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph(tuple(rows))
 
     def subset_mask(self, members: Iterable[int]) -> int:
         """Validated bitmask for a vertex subset."""
@@ -170,7 +176,7 @@ def _graph_from_ends(n: int, ends: list[int]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def max_clique(g: Graph) -> frozenset[int]:

@@ -326,28 +326,21 @@ def edge_lower_bound(n: int, r: int) -> BoundReport:
     return BoundReport(n=n, r=r, bound=general, kind=GENERAL_COROLLARY)
 
 
-def check_structural_lemmas(g: Graph, r: int) -> StructuralReport:
-    """Clique and dense-subgraph structure every maximally robust graph carries.
+def check_structural_lemmas(g: Graph) -> StructuralReport:
+    """Clique and dense-subgraph structure of an r-robust graph at the ceiling r = ceil(n/2).
 
-    An r-robust graph on 2r-1 vertices must contain an (r+1)-clique (for
-    r >= 2: the single vertex, r = 1, is 1-robust only by convention and has
-    no 2-clique); on 2r vertices it must contain a floor((r+4)/2)-clique and
-    an (r+1)-vertex induced subgraph with at least floor((r^2+2)/2) edges.
-    The caller is expected to pass a graph already certified r-robust; the
-    checks here are unconditional searches reported with witnesses.  Limited
-    to n <= MAX_EXACT_N.
+    On 2r-1 >= 3 vertices: an (r+1)-clique.  On 2r vertices: a floor((r+4)/2)-clique
+    and an (r+1)-vertex induced subgraph with at least floor((r^2+2)/2) edges.  The
+    single vertex, 1-robust only by convention, gets no check.  Each check is an
+    unconditional search reported with its witness.  Limited to n <= MAX_EXACT_N.
     """
     check_exact_n(g.n, "check_structural_lemmas")
-    if g.n == 2 * check_int(r, "robustness level", 1) - 1:
-        clique = max_clique(g)
-        checks = (LemmaCheck("clique", r + 1, len(clique), clique),)
-    elif g.n == 2 * r:
-        clique = max_clique(g)
-        subset, count = densest_subset_of_size(g, r + 1)
-        checks = (
-            LemmaCheck("clique", (r + 4) // 2, len(clique), clique),
-            LemmaCheck("dense-subset", (r * r + 2) // 2, count, subset),
-        )
+    r = (g.n + 1) // 2
+    clique = max_clique(g)
+    if g.n % 2:
+        checks = (LemmaCheck("clique", r + 1, len(clique), clique),) if r > 1 else ()
     else:
-        raise ValueError(f"structural checks apply to n in {{2r-1, 2r}}; got n={g.n} for r={r}")
+        subset, count = densest_subset_of_size(g, r + 1)
+        checks = (LemmaCheck("clique", (r + 4) // 2, len(clique), clique),
+                  LemmaCheck("dense-subset", (r * r + 2) // 2, count, subset))
     return StructuralReport(n=g.n, r=r, checks=checks)

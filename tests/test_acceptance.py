@@ -83,9 +83,9 @@ def test_criterion_3_every_edge_is_necessary():
 def test_criterion_4_structural_requirements():
     with criterion("4 clique and dense-subgraph structure holds on both constructions, r = 2..6"):
         for r in range(2, 7):
-            odd_report = check_structural_lemmas(sparsest_odd(r), r)
+            odd_report = check_structural_lemmas(sparsest_odd(r))
             assert odd_report.all_passed, (r, odd_report)
-            even_report = check_structural_lemmas(sparsest_even(r), r)
+            even_report = check_structural_lemmas(sparsest_even(r))
             assert even_report.all_passed, (r, even_report)
             clique, dense = even_report.checks
             assert clique.found >= (r + 4) // 2

@@ -480,6 +480,24 @@ def test_experiment_flags_override_config_fields(tmp_path):
     assert (tmp_path / "flag" / "records.csv").read_text().splitlines()[1].startswith("1,")
 
 
+def test_p_values_flag_reads_numbers_as_the_config_file_does(tmp_path, capsys):
+    # a number is not converted: --p-values 1 is the int 1 of "p_values": [1], so the same
+    # p column and the same seeds
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"r_values": [2], "samples_per_p": 2, "p_values": [0.5, 1],
+                                       "node_offsets": ["2r"]}))
+    assert main(["experiment", "--config", str(config_file), "--output-dir",
+                 str(tmp_path / "file"), "--quiet"]) == 0
+    assert main(["experiment", "--r-values", "2", "--samples-per-p", "2", "--p-values", "0.5,1",
+                 "--node-offsets", "2r", "--output-dir", str(tmp_path / "flags"), "--quiet"]) == 0
+    records = (tmp_path / "flags" / "records.csv").read_bytes()
+    assert records == (tmp_path / "file" / "records.csv").read_bytes()
+    assert b"\n2,4,1," in records
+    with pytest.raises(SystemExit):
+        main(["experiment", "--p-values", "0.5,one"])
+    assert "invalid number list value: '0.5,one'" in capsys.readouterr().err
+
+
 def test_experiment_defaults_reproduce_default_sweep(tmp_path):
     assert main(["experiment", "--output-dir", str(tmp_path), "--quiet"]) == 0
     for name, digest in DEFAULT_SWEEP_SHA256.items():

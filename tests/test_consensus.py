@@ -685,7 +685,6 @@ def test_affine_equivariance():
 def test_check_validity_flags_hull_escape():
     trace = SimulationTrace(
         states=np.array([[0.0, 10.0], [20.0, 10.0]]),
-        normal=frozenset({0, 1}),
         malicious=frozenset(),
         converged_at=None,
         consensus_value=None,
@@ -696,6 +695,18 @@ def test_check_validity_flags_hull_escape():
     assert not verdict.validity
     assert verdict.final_disagreement == 10.0
     assert set(verdict.to_json_dict()) == {"agreement", "validity", "final_disagreement"}
+
+
+def test_trace_normal_is_every_vertex_not_malicious():
+    trace = SimulationTrace(
+        states=np.zeros((2, 4)),
+        malicious=frozenset({1, 3}),
+        converged_at=None,
+        consensus_value=None,
+        safety_interval=(0.0, 0.0),
+    )
+    assert trace.normal == frozenset({0, 2})
+    assert trace_sidecar_dict(trace)["normal"] == [0, 2]
 
 
 def test_trace_export(tmp_path):
@@ -722,7 +733,6 @@ def test_trace_csv_is_repr_of_every_float():
     states = np.array([[0.0, -0.0, 1e-300], [2.0, -3.0, 0.1 + 0.2], [1e300, 5e-324, -7.0]])
     trace = SimulationTrace(
         states=states,
-        normal=frozenset({0, 1, 2}),
         malicious=frozenset(),
         converged_at=None,
         consensus_value=None,

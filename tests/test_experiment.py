@@ -246,7 +246,7 @@ def test_default_sweep_goldens():
         if row.accepted:
             g = erdos_renyi(row.n, row.p, row.seed)
             assert g.edge_count == row.edge_count >= edge_lower_bound(row.n, row.r).bound
-            assert row.r < 2 or check_structural_lemmas(g, row.r).all_passed
+            assert row.r < 2 or check_structural_lemmas(g).all_passed
 
 
 def test_chunks_stay_within_one_certification_at_the_limit(monkeypatch):

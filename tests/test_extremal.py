@@ -1,5 +1,6 @@
-"""Every graph on at most 7 vertices against the paper's bounds, and two
-extremal graphs at n = 9 that the paper's constructions do not build.
+"""Every graph on at most 7 vertices against the paper's bounds, the six
+extremal graphs at n = 8, and two extremal graphs at n = 9 that the paper's
+constructions do not build.
 
 The networkx graph atlas lists all 1,253 graphs with at most 7 vertices,
 one per isomorphism class, so counts over it are counts of non-isomorphic
@@ -12,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from robustnet import (check_structural_lemmas, edge_lower_bound, is_r_robust, max_robustness,
-                       new_graph, robustness_levels, sparsest_odd)
+                       new_graph, robustness_levels, sparsest_even, sparsest_odd)
 
 nx = pytest.importorskip("networkx")
 
@@ -91,7 +92,42 @@ def test_extremal_graphs_beyond_the_constructions(g, universal):
     assert [v for v in range(9) if g.degree(v) == 8] == universal
     assert g.edge_count == edge_lower_bound(9, 5).bound == 30
     assert max_robustness(g).r_max == 5
-    [clique] = check_structural_lemmas(g, 5).checks
+    [clique] = check_structural_lemmas(g).checks
     assert (clique.name, clique.required, clique.found) == ("clique", 6, 6)
     for u, v in g.edges():
         assert not is_r_robust(g.with_edge_removed(u, v), 5)[0]
+
+
+# The 21-edge 4-robust graphs on 8 vertices, one per isomorphism class, each
+# given by the 7 edges it lacks.  Certifying all C(28, 7) = 1,184,040 such
+# complements with robustness_levels finds 46,620 labelled graphs in exactly
+# these 6 classes; the first is the class of sparsest_even(4).
+EXTREMAL_8 = [
+    new_graph(8, set(combinations(range(8), 2)) - set(missing)) for missing in (
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (5, 6)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4), (5, 6)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 5)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 6)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6), (5, 6)],
+    )
+]
+
+
+@pytest.mark.parametrize("g", EXTREMAL_8, ids=[f"class-{i}" for i in range(1, 7)])
+def test_extremal_graphs_at_n8(g):
+    # no universal vertex is asserted: the even case does not promise one
+    assert g.edge_count == edge_lower_bound(8, 4).bound == 21
+    assert max_robustness(g).r_max == 4
+    report = check_structural_lemmas(g)
+    assert report.all_passed
+    assert [check.found for check in report.checks] == [4, 9]
+    for u, v in g.edges():
+        assert not is_r_robust(g.with_edge_removed(u, v), 4)[0]
+
+
+def test_extremal_graphs_at_n8_are_six_classes():
+    shapes = [_to_networkx(g) for g in EXTREMAL_8]
+    assert not any(nx.is_isomorphic(a, b) for a, b in combinations(shapes, 2))
+    assert [nx.is_isomorphic(h, _to_networkx(sparsest_even(4))) for h in shapes] \
+        == [True] + [False] * 5

@@ -7,11 +7,14 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustnet import (
     MAX_EXACT_N,
     MAX_VERTICES,
+    Graph,
     densest_subset_of_size,
+    erdos_renyi,
     format_edge_list,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -22,9 +25,11 @@ from robustnet import (
     parse_edge_list,
     sparsest_even,
     sparsest_odd,
+    tree_graph,
     write_edge_list,
 )
-from robustnet.graph import check_fields, check_int, check_number, read_input
+from robustnet.construct import TREE_SHAPES
+from robustnet.graph import bits, check_fields, check_int, check_number, read_input
 
 from oracles import (
     complete_graph,
@@ -51,6 +56,49 @@ def test_new_graph_basics():
 
     dup = new_graph(3, [(0, 1), (1, 0)])
     assert dup.edge_count == 1
+
+
+def test_graph_size_is_the_length_of_its_rows():
+    g = Graph((0b10, 0b01))
+    assert g.n == 2 and list(g.edges()) == [(0, 1)] and format_edge_list(g) == "2\n0 1\n"
+    with pytest.raises(TypeError):
+        Graph(3, (0b110, 0b101))  # no vertex count to disagree with the rows
+
+
+def _tree_options(data, what):
+    shape = data.draw(st.sampled_from(TREE_SHAPES), label=f"{what} shape")
+    seed = data.draw(st.integers(-5, 5), label=f"{what} seed") if shape == "random" else None
+    return shape, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_constructors_make_symmetric_loop_free_in_range_rows(data):
+    # Graph(rows) checks nothing, so each constructor is what keeps its rows well formed
+    n = data.draw(st.integers(1, 24), label="n")
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=40), label="edges")
+    r = data.draw(st.integers(1, 12), label="r")
+    text = "".join(f"{u} {v}\n" for u, v in pairs)
+    graphs = {
+        "new_graph": new_graph(n, pairs),
+        "parse_edge_list": parse_edge_list(f"{n}\n{text}"),
+        "graph_from_json_dict": graph_from_json_dict({"n": n, "edges": [list(e) for e in pairs]}),
+        "sparsest_odd": sparsest_odd(r, *_tree_options(data, "sparsest_odd")),
+        "sparsest_even": sparsest_even(r),
+        "erdos_renyi": erdos_renyi(n, data.draw(st.floats(0, 1), label="p"),
+                                   data.draw(st.integers(0, 99), label="seed")),
+        "tree_graph": tree_graph(n, *_tree_options(data, "tree_graph")),
+    }
+    for name, g in list(graphs.items()):
+        if g.edge_count:
+            u, v = data.draw(st.sampled_from(list(g.edges())), label=f"{name} edge")
+            graphs[f"{name}.with_edge_removed"] = g.with_edge_removed(u, v)
+    for name, g in graphs.items():
+        for u, row in enumerate(g.rows):
+            assert 0 <= row < 1 << g.n, (name, u)  # in range
+            assert not row >> u & 1, (name, u)  # loop-free
+            assert all(g.rows[v] >> u & 1 for v in bits(row)), (name, u)  # symmetric
 
 
 def test_new_graph_rejects_bad_input():

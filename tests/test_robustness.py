@@ -400,7 +400,7 @@ def test_bound_soundness_on_certified_graphs():
 
 
 def test_structural_checks_odd_case():
-    report = check_structural_lemmas(sparsest_odd(4), 4)
+    report = check_structural_lemmas(sparsest_odd(4))
     assert report.all_passed
     (clique,) = report.checks
     assert clique.name == "clique"
@@ -427,7 +427,7 @@ def test_ceiling_robust_draws_at_odd_n_have_a_universal_vertex():
 
 
 def test_structural_checks_even_case():
-    report = check_structural_lemmas(sparsest_even(5), 5)
+    report = check_structural_lemmas(sparsest_even(5))
     assert report.all_passed
     clique, dense = report.checks
     assert clique.required == 4 and clique.found >= 4
@@ -437,13 +437,13 @@ def test_structural_checks_even_case():
 
 
 def test_structural_checks_complete_graph():
-    report = check_structural_lemmas(complete_graph(5), 3)
+    report = check_structural_lemmas(complete_graph(5))
     assert report.all_passed  # a 5-clique certainly contains a 4-clique
 
 
 def test_structural_checks_report_failure():
     # a path on 5 vertices is nowhere near 3-robust; the checks just report it
-    report = check_structural_lemmas(path_graph(5), 3)
+    report = check_structural_lemmas(path_graph(5))
     assert not report.all_passed
 
 
@@ -453,10 +453,10 @@ def test_structural_checks_match_loop_densest_subset(monkeypatch):
 
     for r in range(2, 11):
         for g in (sparsest_odd(r), sparsest_even(r)):
-            table = found_and_witness(check_structural_lemmas(g, r))
+            table = found_and_witness(check_structural_lemmas(g))
             with monkeypatch.context() as patch:
                 patch.setattr("robustnet.robustness.densest_subset_of_size", loop_densest_subset)
-                assert found_and_witness(check_structural_lemmas(g, r)) == table
+                assert found_and_witness(check_structural_lemmas(g)) == table
 
 
 def test_is_r_robust_rejects_bool_level():
@@ -471,15 +471,20 @@ def test_edge_lower_bound_rejects_bool_level():
         edge_lower_bound(True, 1)
 
 
-def test_structural_checks_reject_bool_level():
-    with pytest.raises(ValueError):
-        check_structural_lemmas(complete_graph(2), True)
+def test_structural_checks_are_chosen_by_n_alone():
+    # the level is the ceiling (n + 1) // 2; the single vertex is 1-robust only by convention
+    assert check_structural_lemmas(new_graph(1)).checks == ()
+    for n in range(2, MAX_EXACT_N + 1):
+        r = (n + 1) // 2
+        report = check_structural_lemmas(sparsest_odd(r) if n % 2 else sparsest_even(r))
+        assert (report.n, report.r) == (n, r) and report.all_passed
+        required = [(check.name, check.required) for check in report.checks]
+        if n % 2:
+            assert required == [("clique", r + 1)]
+        else:
+            assert required == [("clique", (r + 4) // 2), ("dense-subset", (r * r + 2) // 2)]
 
 
 def test_structural_checks_wrong_n():
-    with pytest.raises(ValueError):
-        check_structural_lemmas(complete_graph(6), 2)  # n=6 not in {3, 4}
-    with pytest.raises(ValueError):
-        check_structural_lemmas(complete_graph(5), 0)
     with pytest.raises(ValueError, match=f"limit of {MAX_EXACT_N}"):
-        check_structural_lemmas(sparsest_odd(11), 11)  # n=21
+        check_structural_lemmas(sparsest_odd(11))  # n=21
