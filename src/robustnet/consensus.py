@@ -21,7 +21,7 @@ import json
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Optional
@@ -106,36 +106,34 @@ def behavior_from_spec(spec: dict) -> Behavior:
 
 
 def _vertex_set(vertices) -> frozenset[int]:
-    """vertices, a list, tuple, set or frozenset, as a frozenset; each entry is checked
-    before the set is made, so True and 1 cannot collapse into one vertex."""
-    if not isinstance(vertices, (list, tuple, set, frozenset)):
+    """vertices, a JSON array, as a frozenset; each entry is checked before
+    the set is made, so True and 1 cannot collapse into one vertex."""
+    if not isinstance(vertices, list):
         raise ValueError(f"threat 'malicious' must be an array, got {vertices!r}")
     return frozenset([check_int(v, "malicious vertex") for v in vertices])
 
 
 @dataclass(frozen=True)
 class ThreatModel:
-    """Adversary scope and budget, the compromised set, and its trajectories.
-
-    Everything that does not depend on a graph is checked when the threat
-    is made; :meth:`validate` checks the rest against a graph.
+    """Adversary scope and budget, and the trajectory of each malicious vertex:
+    the malicious set is the key set of behaviors.  Everything that does not
+    depend on a graph is checked when the threat is made; :meth:`validate`
+    checks the rest against a graph.
     """
 
     scope: str
     f: int
-    malicious: frozenset[int]
     behaviors: Mapping[int, Behavior]
+    malicious: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.scope not in SCOPES:
             raise ValueError(f"threat scope must be one of {SCOPES}, got {self.scope!r}")
         check_int(self.f, "threat budget F")
-        object.__setattr__(self, "malicious", _vertex_set(self.malicious))
         if not isinstance(self.behaviors, Mapping):
             raise ValueError(f"threat behaviors must be a mapping, got {self.behaviors!r}")
-        missing = [v for v in sorted(self.malicious) if v not in self.behaviors]
-        if missing:
-            raise ValueError(f"malicious vertices {missing} have no behavior")
+        object.__setattr__(self, "malicious",
+                           frozenset([check_int(v, "malicious vertex") for v in self.behaviors]))
         if self.scope == F_TOTAL and len(self.malicious) > self.f:
             raise ValueError(
                 f"F-total violated: {len(self.malicious)} malicious agents exceed F={self.f}"
@@ -171,7 +169,10 @@ class ThreatModel:
                                   optional=[str(v) for v in malicious])
         behaviors = {} if default is None else dict.fromkeys(malicious, default)
         behaviors.update((int(key), behavior_from_spec(spec)) for key, spec in per_vertex.items())
-        return cls(scope=data["scope"], f=data["F"], malicious=malicious, behaviors=behaviors)
+        missing = sorted(malicious - behaviors.keys())
+        if missing:
+            raise ValueError(f"malicious vertices {missing} have no behavior")
+        return cls(scope=data["scope"], f=data["F"], behaviors=behaviors)
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,22 @@ class SimulationTrace:
 
     states: np.ndarray
     malicious: frozenset[int]
-    converged_at: Optional[int]
-    consensus_value: Optional[float]
-    safety_interval: tuple[float, float]
+    converged_at: Optional[int]  # the first step whose normal states agreed within tol, or None
 
     @property
     def normal(self) -> frozenset[int]:
         return frozenset(range(self.states.shape[1])) - self.malicious
+
+    @property
+    def safety_interval(self) -> tuple[float, float]:
+        """The closed hull of the normal agents' states at t = 0."""
+        first = self.states[0, sorted(self.normal)].tolist()  # min keeps the first of 0.0 and -0.0
+        return min(first), max(first)
+
+    @property
+    def consensus_value(self) -> Optional[float]:
+        """The mean normal state of the last row once converged, else None."""
+        return None if self.converged_at is None else float(self.states[-1, sorted(self.normal)].mean())
 
 
 @dataclass(frozen=True)
@@ -198,11 +208,7 @@ class Verdict:
     final_disagreement: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "agreement": self.agreement,
-            "validity": self.validity,
-            "final_disagreement": self.final_disagreement,
-        }
+        return asdict(self)
 
 
 def _as_state_vector(g: Graph, states) -> np.ndarray:
@@ -349,11 +355,11 @@ def simulate(
     entries of initial are ignored) and then apply the W-MSR update
     (parameter F from the threat) to the previous row.  The run stops at
     the first step where the spread of normal states drops below tol,
-    recorded as converged_at, or after max_steps updates.  The safety
-    interval is the closed hull of the normal agents' initial states.  A
-    non-finite normal initial state, trajectory value or updated normal
-    state (a sum of huge states can overflow) raises ValueError, as does
-    a max_steps whose trace could exceed MAX_TRACE_STATES states.
+    recorded as converged_at, or after max_steps updates.  A non-finite
+    normal initial state, trajectory value or updated normal state (a sum
+    of huge states can overflow) raises ValueError, as do a trajectory
+    that raises ValueError (named with its vertex and step) and a max_steps
+    whose trace could exceed MAX_TRACE_STATES states.
     """
     check_int(max_steps, "max_steps", 1, MAX_TRACE_STATES // g.n - 1)
     if not check_number(tol, "tolerance") > 0:
@@ -372,7 +378,10 @@ def simulate(
     t = 0
     while True:
         for m, behavior in trajectories:
-            value = float(behavior(t))
+            try:
+                value = float(behavior(t))
+            except ValueError as exc:  # math.sin(inf), say, which no spec check foresees
+                raise ValueError(f"behavior of vertex {m} failed at t={t}: {exc}") from exc
             if not math.isfinite(value):
                 raise ValueError(f"behavior of vertex {m} gave non-finite value {value!r} at t={t}")
             states[t, m] = value
@@ -390,14 +399,7 @@ def simulate(
         # every entry the update skips is malicious, and is set at the top of the next pass
         _wmsr_update(states[t - 1], table, threat.f, out=states[t])
     states.resize((t + 1, g.n), refcheck=False)
-    first = states[0, idx].tolist()  # Python's min keeps the first of 0.0 and -0.0; np.min may not
-    return SimulationTrace(
-        states=states,
-        malicious=threat.malicious,
-        converged_at=t if converged else None,
-        consensus_value=float(ns.mean()) if converged else None,
-        safety_interval=(min(first), max(first)),
-    )
+    return SimulationTrace(states=states, malicious=threat.malicious, converged_at=t if converged else None)
 
 
 def check_validity(trace: SimulationTrace) -> Verdict:
@@ -436,7 +438,7 @@ def trace_sidecar_dict(trace: SimulationTrace) -> dict:
         "malicious": sorted(trace.malicious),
         "converged_at": trace.converged_at,
         "consensus_value": trace.consensus_value,
-        "safety_interval": [trace.safety_interval[0], trace.safety_interval[1]],
+        "safety_interval": list(trace.safety_interval),
     }
 
 

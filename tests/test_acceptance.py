@@ -119,7 +119,6 @@ def _consensus_study(g, trials=100):
         threat = ThreatModel(
             scope="F-local",
             f=3,
-            malicious=malicious,
             behaviors={m: constant(150.0 + 40.0 * k)
                        for k, m in enumerate(sorted(malicious))},
         )
@@ -140,10 +139,7 @@ def test_criterion_6_consensus_study():
 def test_criterion_7_negative_control():
     with criterion("7 a 1-robust graph with F=1 breaks the guarantee"):
         g = cycle_graph(4)
-        threat = ThreatModel(
-            scope="F-local", f=1, malicious=frozenset({3}),
-            behaviors={3: lambda t: 10.0 + 5.0 * t},
-        )
+        threat = ThreatModel(scope="F-local", f=1, behaviors={3: lambda t: 10.0 + 5.0 * t})
         rng = random.Random(0)
         initial = [rng.uniform(-100.0, 100.0) for _ in range(3)] + [10.0]
         trace = simulate(g, threat, initial, max_steps=500, tol=1e-6)

@@ -51,6 +51,8 @@ def test_bounds_json_and_output_file(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert {"r": 5, "n": 10, "bound": 33, "kind": "even-case"} in rows
     assert capsys.readouterr().out == ""
+    assert main(["bounds", "--r-min", "5", "--r-max", "5", "--format", "json", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"bounds written to {out}\n"
 
 
 def test_bounds_rejects_bad_range(capsys):
@@ -381,6 +383,19 @@ def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
                  "--out-prefix", str(prefix)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "nan.verdict.json").exists()
+
+
+def test_simulate_names_the_vertex_and_step_a_behavior_fails_at(tmp_path, capsys):
+    # a subnormal period passes every spec check, but at t = 1 the sinusoid's phase is inf
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3", "--output", str(graph_file), "--quiet"])
+    threat_file = tmp_path / "threat.json"
+    threat_file.write_text(json.dumps({"scope": "F-local", "F": 1, "malicious": [0],
+                                       "behavior": {"kind": "sinusoid", "amplitude": 1.0, "period": 5e-324}}))
+    assert main(["simulate", str(graph_file), "--threat", str(threat_file),
+                 "--out-prefix", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: behavior of vertex 0 failed at t=1: math domain error\n"
+    assert not (tmp_path / "run.verdict.json").exists()
 
 
 def test_simulate_validates_the_threat_once(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,14 +45,13 @@ from oracles import (
 
 
 def no_threat(f=0):
-    return ThreatModel(scope="F-total", f=f, malicious=frozenset(), behaviors={})
+    return ThreatModel(scope="F-total", f=f, behaviors={})
 
 
 def constant_threat(scope, f, values):
     return ThreatModel(
         scope=scope,
         f=f,
-        malicious=frozenset(values),
         behaviors={v: constant(value) for v, value in values.items()},
     )
 
@@ -261,7 +262,7 @@ def test_wmsr_step_stays_in_normal_hull_under_f_local(data):
     states = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.n, max_size=g.n))
     for m in malicious:
         states[m] = data.draw(st.floats(-1e12, 1e12))
-    ThreatModel("F-local", f, malicious, {m: constant(states[m]) for m in malicious}).validate(g)
+    ThreatModel("F-local", f, {m: constant(states[m]) for m in malicious}).validate(g)
     out = wmsr_step(g, states, f, normal)
     for i in normal:
         hull = [states[i]] + [states[j] for j in g.neighbors(i) if j not in malicious]
@@ -299,8 +300,6 @@ def test_threat_validation():
         constant_threat("F-total", 1, {0: 1.0, 1: 1.0}).validate(g)
     with pytest.raises(ValueError, match="F-local violated: vertex"):
         constant_threat("F-local", 1, {0: 1.0, 1: 1.0}).validate(g)
-    with pytest.raises(ValueError, match="no behavior|have no behavior"):
-        ThreatModel("F-total", 1, frozenset({0}), {}).validate(g)
     with pytest.raises(ValueError, match="out of range"):
         constant_threat("F-total", 9, {12: 1.0}).validate(g)
     with pytest.raises(ValueError, match="scope"):
@@ -320,17 +319,16 @@ def _threat_json(**changes):
     return {key: value for key, value in data.items() if value is not None}
 
 
-# (fields that break a valid threat, the same break in its JSON); none needs a graph
+# (fields that break a valid threat, the same break in its JSON); none needs a graph.
+# None: a break only JSON can make, since Python names the malicious set by its behaviors.
 _BAD_THREATS = [
     (dict(scope="F-global"), dict(scope="F-global")),
     (dict(f=True), dict(F=True)),
     (dict(f=-1), dict(F=-1)),
-    (dict(malicious=frozenset({0, 1}), behaviors={0: constant(1.0), 1: constant(1.0)}),
-     dict(malicious=[0, 1])),  # F-total violated
-    (dict(behaviors={}), dict(behavior=None)),  # no behavior
-    *[(dict(malicious=frozenset({bad}), behaviors={bad: constant(1.0)}), dict(malicious=[bad]))
-      for bad in (True, False, "a", 1.0, -1)],
-    (dict(malicious=5), dict(malicious=5)),  # not an array of vertices
+    (dict(behaviors={0: constant(1.0), 1: constant(1.0)}), dict(malicious=[0, 1])),  # F-total violated
+    (None, dict(behavior=None)),  # no behavior
+    *[(dict(behaviors={bad: constant(1.0)}), dict(malicious=[bad])) for bad in (True, False, "a", 1.0, -1)],
+    (None, dict(malicious=5)),  # not an array of vertices
     (dict(behaviors=[0]), dict(behaviors=[0])),  # not a map of behaviors
 ]
 
@@ -341,23 +339,27 @@ def test_threat_is_checked_however_it_is_made(fields, json_fields):
     valid = constant_threat("F-total", 1, {0: 1.0})
     assert ThreatModel.from_json_dict(_threat_json()).malicious == valid.malicious
     with pytest.raises(ValueError):
-        ThreatModel(**{**vars(valid), **fields})
-    with pytest.raises(ValueError):
         ThreatModel.from_json_dict(_threat_json(**json_fields))
+    if fields is None:
+        return
+    with pytest.raises(ValueError):
+        ThreatModel(**{"scope": valid.scope, "f": valid.f, "behaviors": valid.behaviors, **fields})
     with pytest.raises(ValueError):
         dataclasses.replace(valid, **fields)
 
 
-def test_threat_built_from_a_list_simulates_like_its_frozenset_twin():
-    g = sparsest_odd(3)
-    behaviors = {0: linear_ramp(0.0, 2.0)}
-    listed = ThreatModel("F-local", 1, [0], behaviors)
-    twin = ThreatModel("F-local", 1, frozenset({0}), behaviors)
-    assert listed.malicious == twin.malicious and isinstance(listed.malicious, frozenset)
-    initial = [0.0, -40.0, 5.0, 12.0, 30.0]
-    trace, twin_trace = simulate(g, listed, initial), simulate(g, twin, initial)
-    assert np.array_equal(trace.states, twin_trace.states)
-    assert trace.converged_at == twin_trace.converged_at
+def test_threat_malicious_set_is_its_behaviors_keys():
+    # a vertex with a trajectory is malicious, however the threat is built
+    behaviors = {0: constant(5.0), 3: constant(99.0)}
+    threat = ThreatModel("F-total", 2, behaviors)
+    assert threat.malicious == {0, 3} and isinstance(threat.malicious, frozenset)
+    trace = simulate(cycle_graph(5), threat, [0.0, 1.0, 2.0, 3.0, 4.0], max_steps=5)
+    assert trace.malicious == {0, 3}
+    assert trace.states[0].tolist() == [5.0, 1.0, 2.0, 99.0, 4.0]
+    with pytest.raises(ValueError, match="F-total violated: 2 malicious agents exceed F=1"):
+        ThreatModel("F-total", 1, behaviors)
+    with pytest.raises(ValueError, match="declared with init=False"):
+        dataclasses.replace(threat, malicious=frozenset({0}))
 
 
 def test_threat_from_json():
@@ -374,7 +376,7 @@ def test_threat_from_json():
     assert threat.behaviors[4](7) == -7.0
     with pytest.raises(ValueError):
         ThreatModel.from_json_dict({"scope": "F-total", "F": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"malicious vertices \[0\] have no behavior"):
         ThreatModel.from_json_dict({"scope": "F-total", "F": 1, "malicious": [0]})
     for malicious in ([True], [1, True], ["a", 1], [0.0]):
         with pytest.raises(ValueError, match="malicious vertex"):
@@ -436,7 +438,7 @@ def test_simulate_outlier_broadcaster_is_ignored():
 
 def test_simulate_sets_malicious_states_from_t0():
     # a malicious agent follows its trajectory at t = 0 too; its entry of initial is ignored
-    threat = ThreatModel("F-total", 1, frozenset({3}), {3: linear_ramp(10.0, 5.0)})
+    threat = ThreatModel("F-total", 1, {3: linear_ramp(10.0, 5.0)})
     trace = simulate(cycle_graph(4), threat, [-50.0, 0.0, 50.0, math.nan], max_steps=5)
     assert trace.states[:, 3].tolist() == [10.0 + 5.0 * t for t in range(6)]
     assert trace.safety_interval == (-50.0, 50.0)
@@ -447,7 +449,7 @@ def test_simulate_sets_malicious_states_from_t0():
 def test_simulate_below_threshold_robustness_fails():
     # C4 is only 1-robust: with F=1 W-MSR trims away both neighbors and
     # every normal agent freezes, so agreement never happens
-    threat = ThreatModel("F-local", 1, frozenset({3}), {3: linear_ramp(10.0, 5.0)})
+    threat = ThreatModel("F-local", 1, {3: linear_ramp(10.0, 5.0)})
     initial = [-50.0, 0.0, 50.0, 10.0]
     trace = simulate(cycle_graph(4), threat, initial, max_steps=200)
     verdict = check_validity(trace)
@@ -480,7 +482,7 @@ def test_simulate_rejects_bad_input():
         with pytest.raises(ValueError, match="initial states must be finite"):
             simulate(g, no_threat(), [0.0, bad, 2.0])
     # finite at t = 0 and 1, infinite from t = 2 on
-    overflow = ThreatModel("F-total", 1, frozenset({0}), {0: linear_ramp(0.0, 1e308)})
+    overflow = ThreatModel("F-total", 1, {0: linear_ramp(0.0, 1e308)})
     with pytest.raises(ValueError, match="non-finite value inf at t=2"):
         simulate(g, overflow, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="vertex 0 gave non-finite value nan"):
@@ -580,8 +582,7 @@ def test_containment_in_previous_step_hull():
         g = random_graph(rng, rng.randint(3, 8), 0.5)
         malicious = frozenset({rng.randrange(g.n)})
         threat = ThreatModel(
-            "F-total", 1, malicious,
-            {v: random_walk(rng.uniform(-50, 50), 3.0, rng.randrange(999)) for v in malicious},
+            "F-total", 1, {v: random_walk(rng.uniform(-50, 50), 3.0, rng.randrange(999)) for v in malicious},
         )
         initial = [rng.uniform(-100, 100) for _ in range(g.n)]
         trace = simulate(g, threat, initial, max_steps=40, tol=1e-12)
@@ -600,8 +601,7 @@ def test_guarantee_at_threshold_small():
     for trial in range(20):
         rng = random.Random(1000 + trial)
         malicious = rng.randrange(g.n)
-        threat = ThreatModel("F-local", 1, frozenset({malicious}),
-                             {malicious: constant(500.0)})
+        threat = ThreatModel("F-local", 1, {malicious: constant(500.0)})
         initial = [rng.uniform(-100, 100) for _ in range(g.n)]
         initial[malicious] = 500.0
         trace = simulate(g, threat, initial)
@@ -634,8 +634,7 @@ def test_wmsr_runs_stay_in_normal_hull_on_robust_graphs(data):
     f = data.draw(st.integers(0, (r - 1) // 2))
     malicious = sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=f)))
     specs = data.draw(st.lists(_BEHAVIOR_SPECS, min_size=len(malicious), max_size=len(malicious)))
-    threat = ThreatModel("F-local", f, frozenset(malicious),
-                         {m: behavior_from_spec(spec) for m, spec in zip(malicious, specs)})
+    threat = ThreatModel("F-local", f, {m: behavior_from_spec(spec) for m, spec in zip(malicious, specs)})
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     initial = [rng.uniform(-100, 100) for _ in range(g.n)]
     assert check_validity(simulate(g, threat, initial, max_steps=200)).validity
@@ -648,8 +647,8 @@ def test_permutation_equivariance():
     rng.shuffle(perm)  # perm[i] is the new label of old vertex i
     relabeled = new_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])
     initial = [rng.uniform(-10, 10) for _ in range(7)]
-    threat = ThreatModel("F-total", 1, frozenset({2}), {2: constant(40.0)})
-    threat_p = ThreatModel("F-total", 1, frozenset({perm[2]}), {perm[2]: constant(40.0)})
+    threat = ThreatModel("F-total", 1, {2: constant(40.0)})
+    threat_p = ThreatModel("F-total", 1, {perm[2]: constant(40.0)})
     initial_p = [0.0] * 7
     for i in range(7):
         initial_p[perm[i]] = initial[i]
@@ -665,9 +664,8 @@ def test_affine_equivariance():
     # x -> a*x + b with trajectories transformed identically scales the trace
     g = sparsest_odd(3)
     a, b = 2.5, -7.0
-    threat = ThreatModel("F-local", 1, frozenset({4}), {4: linear_ramp(120.0, 1.0)})
-    threat_t = ThreatModel("F-local", 1, frozenset({4}),
-                           {4: lambda t: a * (120.0 + 1.0 * t) + b})
+    threat = ThreatModel("F-local", 1, {4: linear_ramp(120.0, 1.0)})
+    threat_t = ThreatModel("F-local", 1, {4: lambda t: a * (120.0 + 1.0 * t) + b})
     rng = random.Random(13)
     initial = [rng.uniform(-100, 100) for _ in range(g.n)]
     initial[4] = 120.0
@@ -683,13 +681,9 @@ def test_affine_equivariance():
 # ---------------------------------------------------------------------------
 
 def test_check_validity_flags_hull_escape():
-    trace = SimulationTrace(
-        states=np.array([[0.0, 10.0], [20.0, 10.0]]),
-        malicious=frozenset(),
-        converged_at=None,
-        consensus_value=None,
-        safety_interval=(0.0, 10.0),
-    )
+    # agent 0 leaves the hull [0, 10] of row 0, which the trace derives itself
+    trace = SimulationTrace(states=np.array([[0.0, 10.0], [20.0, 10.0]]), malicious=frozenset(), converged_at=None)
+    assert trace.safety_interval == (0.0, 10.0)
     verdict = check_validity(trace)
     assert not verdict.agreement
     assert not verdict.validity
@@ -698,15 +692,23 @@ def test_check_validity_flags_hull_escape():
 
 
 def test_trace_normal_is_every_vertex_not_malicious():
-    trace = SimulationTrace(
-        states=np.zeros((2, 4)),
-        malicious=frozenset({1, 3}),
-        converged_at=None,
-        consensus_value=None,
-        safety_interval=(0.0, 0.0),
-    )
+    trace = SimulationTrace(states=np.zeros((2, 4)), malicious=frozenset({1, 3}), converged_at=None)
     assert trace.normal == frozenset({0, 2})
     assert trace_sidecar_dict(trace)["normal"] == [0, 2]
+
+
+def test_trace_derives_its_hull_and_consensus_value_from_its_states():
+    # row 0's normal states 1.0 and 3.0 span the hull; malicious vertex 1 is outside it
+    states = np.array([[3.0, -50.0, 1.0], [2.0, 60.0, 2.5], [2.25, 70.0, 2.25]])
+    trace = SimulationTrace(states=states, malicious=frozenset({1}), converged_at=2)
+    assert trace.safety_interval == (1.0, 3.0)
+    assert trace.consensus_value == 2.25
+    assert trace_sidecar_dict(trace)["safety_interval"] == [1.0, 3.0]
+    assert SimulationTrace(states, frozenset({1}), None).consensus_value is None
+    # Python's min and max keep the first of equal zeros, as the sidecar always has
+    for row, first in (([0.0, -0.0], 1.0), ([-0.0, 0.0], -1.0)):
+        lo, hi = SimulationTrace(np.array([row]), frozenset(), None).safety_interval
+        assert lo == hi == 0.0 and math.copysign(1.0, lo) == math.copysign(1.0, hi) == first
 
 
 def test_trace_export(tmp_path):
@@ -731,13 +733,7 @@ def test_trace_export(tmp_path):
 
 def test_trace_csv_is_repr_of_every_float():
     states = np.array([[0.0, -0.0, 1e-300], [2.0, -3.0, 0.1 + 0.2], [1e300, 5e-324, -7.0]])
-    trace = SimulationTrace(
-        states=states,
-        malicious=frozenset(),
-        converged_at=None,
-        consensus_value=None,
-        safety_interval=(-3.0, 1e300),
-    )
+    trace = SimulationTrace(states=states, malicious=frozenset(), converged_at=None)
     expected = "t,agent_0,agent_1,agent_2\n" + "".join(
         str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n"
         for t, row in enumerate(states)
@@ -800,8 +796,7 @@ def test_traces_match_pinned_digests():
 
 def test_sinusoid_behavior_in_simulation():
     g = sparsest_odd(3)
-    threat = ThreatModel("F-local", 1, frozenset({0}),
-                         {0: sinusoid(0.0, 200.0, 10.0)})
+    threat = ThreatModel("F-local", 1, {0: sinusoid(0.0, 200.0, 10.0)})
     rng = random.Random(4)
     initial = [rng.uniform(-100, 100) for _ in range(g.n)]
     initial[0] = 0.0
@@ -809,3 +804,11 @@ def test_sinusoid_behavior_in_simulation():
     verdict = check_validity(trace)
     assert verdict.agreement and verdict.validity
     assert math.isclose(trace.states[3][0], 200.0 * math.sin(2 * math.pi * 3 / 10.0))
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block runs as written, so its signatures cannot drift from the code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "Verdict(agreement=True, validity=True," in capsys.readouterr().out

@@ -21,7 +21,7 @@ from robustnet import (
 )
 from robustnet.graph import bits
 from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, MIN_DEGREE, ODD_CASE,
-                                  _NONE, _reach_terms, _subset_tables)
+                                  _NONE, RobustnessCertificate, _reach_terms, _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -134,8 +134,9 @@ def test_certificate_text_is_the_indented_json_dump():
     graphs = [new_graph(1), new_graph(2)]  # the null witness, then the smallest pair
     graphs += [build(r) for r in range(1, 9) for build in (sparsest_odd, sparsest_even)]
     graphs += [erdos_renyi(n, p, 1000 * n + int(100 * p)) for n in range(2, 15) for p in (0.3, 0.7, 0.95)]
-    for g in graphs:
-        cert = max_robustness(g)
+    certs = [max_robustness(g) for g in graphs]
+    certs.append(RobustnessCertificate(1, (frozenset(), frozenset({0})), 0))  # built by hand: an empty side
+    for cert in certs:
         assert cert.to_json_text() == json.dumps(cert.to_json_dict(), indent=2) + "\n"
 
 
