@@ -260,7 +260,11 @@ def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: first line n, then one 'u v' line per edge, sorted."""
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, row in enumerate(g.rows):
+        # one join a row: u's lines after the first start at the separator
+        tail = f"\n{u} ".join(map(str, bits(row >> (u + 1) << (u + 1))))
+        if tail:
+            lines.append(f"{u} {tail}")
     return "\n".join(lines) + "\n"
 
 

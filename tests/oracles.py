@@ -20,6 +20,9 @@ listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
 sampler and the chunked sweep; they fix every graph and every record.
 
+loop_format_edge_list is the edge-list writer that preceded the one join a
+row: an f-string per edge from Graph.edges().  It fixes every byte written.
+
 oracle_parse_edge_list is the edge-list parser that preceded the one-pass
 reader: a list of ints per line, a (u, v) tuple per edge, and new_graph to
 check and place them.  It fixes every graph and every error message.
@@ -339,6 +342,12 @@ def cycle_graph(n):
 
 def path_graph(n):
     return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def loop_format_edge_list(g):
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def oracle_parse_edge_list(text):

@@ -1,5 +1,9 @@
+import itertools
 import random
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from robustnet import (
@@ -13,6 +17,7 @@ from robustnet import (
     sparsest_odd,
     tree_graph,
 )
+from robustnet import construct
 
 from oracles import listcomp_erdos_renyi
 
@@ -114,6 +119,81 @@ def test_erdos_renyi_matches_edge_list_sampler():
         p = (0.0, 1.0)[i % 2] if i % 10 < 2 else rng.random()
         seed = rng.getrandbits(64)
         assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed)
+
+
+# the smallest graph the word-level sampler draws
+FIRST_WORD_N = next(n for n in range(2, 1000) if n * (n - 1) // 2 >= construct.WORD_SAMPLER_PAIRS)
+# the most rows one block takes: rows times its first row's pairs is at most BLOCK_PAIRS
+ONE_BLOCK_N = max(n for n in range(8, 1000, 8) if n * (n - 1) <= construct.BLOCK_PAIRS)
+EDGE_PS = (0, 1, 0.0, 1.0, 5e-324, 1 - 2**-53, 0.3183098861837907)
+SEEDS = (0, -5, 2**32, 2**64 + 1, 0x9E3779B97F4A7C15)
+
+
+@pytest.mark.parametrize("n", [FIRST_WORD_N - 1, FIRST_WORD_N, ONE_BLOCK_N - 1, ONE_BLOCK_N,
+                               ONE_BLOCK_N + 1, ONE_BLOCK_N + 2])
+def test_both_sampler_paths_match_edge_list_sampler(n):
+    # the word-level draw must follow CPython's random(), word order included
+    for p, seed in zip(EDGE_PS, itertools.cycle(SEEDS)):
+        assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed), (p, seed)
+    for seed in SEEDS:
+        assert erdos_renyi(n, 0.5, seed) == listcomp_erdos_renyi(n, 0.5, seed), seed
+
+
+def test_word_sampler_compares_each_draw_exactly():
+    # p half a step above the first pair's draw, then equal to it; a Fraction
+    # 2**-80 above it is the same float; numpy rounds the draw to p's float32
+    # or float16, which lie above it
+    first = random.Random(1).random()
+    assert first < 0.5  # so first + 2**-54 is a float
+    for p, edge in ((first + 2**-54, True), (first, False),
+                    (Fraction(first) + Fraction(1, 2**80), True), (Fraction(first), False),
+                    (np.float32(first), False), (np.float16(first), False)):
+        g = erdos_renyi(FIRST_WORD_N, p, 1)
+        assert g.has_edge(0, 1) is edge
+        assert g == listcomp_erdos_renyi(FIRST_WORD_N, p, 1)
+
+
+@pytest.mark.parametrize("p", [np.float16(0.5), np.uint8(1), np.float32(0.3), Fraction(1, 3)],
+                         ids=["float16", "uint8", "float32", "Fraction"])
+def test_both_sampler_paths_take_any_real_p(p):
+    for n in (FIRST_WORD_N - 1, FIRST_WORD_N):
+        assert erdos_renyi(n, p, 7) == listcomp_erdos_renyi(n, p, 7)
+
+
+def test_word_sampler_matches_edge_list_sampler_at_n_1000():
+    assert erdos_renyi(1000, 0.05, 2**64 + 1) == listcomp_erdos_renyi(1000, 0.05, 2**64 + 1)
+
+
+def test_word_sampler_matches_edge_list_sampler_over_many_blocks(monkeypatch):
+    # 64-pair blocks: most hold the minimum 8 rows, and the tails every width
+    monkeypatch.setattr(construct, "BLOCK_PAIRS", 64)
+    rng = random.Random(8311)
+    for n in (FIRST_WORD_N, FIRST_WORD_N + 1, 53, 64, 65, 71, 100):
+        p = rng.random()
+        seed = rng.getrandbits(64)
+        assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed), (n, p, seed)
+
+
+def test_erdos_renyi_memory_stays_within_its_blocks():
+    # drawing all 2M pairs at once would take 16 MiB for each uint64 temporary;
+    # the packed matrix and the rows take about 1 MiB
+    erdos_renyi(2000, 0.5, 1)
+    tracemalloc.start()
+    try:
+        erdos_renyi(2000, 0.5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("n", [9, FIRST_WORD_N])
+def test_a_seed_and_its_negation_draw_the_same_graph(n):
+    # random.Random seeds from |seed|
+    for seed in (1, 2**32, 2**64 + 1):
+        assert erdos_renyi(n, 0.5, -seed) == erdos_renyi(n, 0.5, seed)
+        assert tree_graph(n, "random", -seed) == tree_graph(n, "random", seed)
+        assert sparsest_odd(5, "random", -seed) == sparsest_odd(5, "random", seed)
 
 
 def test_erdos_renyi_rejects_bool_vertex_count():

@@ -37,6 +37,7 @@ from oracles import (
     edge_list_texts,
     has_clique_of_size,
     loop_densest_subset,
+    loop_format_edge_list,
     oracle_densest_subset,
     oracle_max_clique,
     oracle_parse_edge_list,
@@ -394,6 +395,17 @@ def test_edge_list_round_trip():
     assert again == g
 
 
+@pytest.mark.parametrize("build", [
+    lambda: erdos_renyi(1000, 0.05, 5),
+    lambda: erdos_renyi(199, 0.9, 3),
+    lambda: new_graph(300),
+    lambda: new_graph(1),
+], ids=["G(1000,0.05)", "G(199,0.9)", "edgeless", "one-vertex"])
+def test_format_edge_list_matches_loop_writer_on_large_graphs(build):
+    g = build()
+    assert format_edge_list(g) == loop_format_edge_list(g)
+
+
 def test_edge_list_comments_and_blanks():
     text = "# header comment\n\n4\n0 1  # trailing comment\n\n2 3\n"
     g = parse_edge_list(text)
@@ -493,3 +505,4 @@ def test_load_graph_sniffs_format(tmp_path):
 def test_graph_files_round_trip(g):
     assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
     assert parse_edge_list(format_edge_list(g)) == g
+    assert format_edge_list(g) == loop_format_edge_list(g)
