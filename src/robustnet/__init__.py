@@ -14,8 +14,6 @@ from .graph import (
     densest_subset_of_size,
     format_edge_list,
     graph_from_json_dict,
-    graph_to_json_dict,
-    induced_edge_count,
     load_graph,
     max_clique,
     new_graph,
@@ -49,13 +47,11 @@ from .consensus import (
     check_validity,
     constant,
     linear_ramp,
-    nominal_step,
     random_walk,
     simulate,
     sinusoid,
     trace_sidecar_dict,
     trace_to_csv_text,
-    wmsr_step,
     write_trace,
 )
 from .experiment import (
@@ -69,56 +65,3 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Graph",
-    "new_graph",
-    "max_clique",
-    "induced_edge_count",
-    "densest_subset_of_size",
-    "format_edge_list",
-    "parse_edge_list",
-    "graph_to_json_dict",
-    "graph_from_json_dict",
-    "write_edge_list",
-    "load_graph",
-    "MAX_VERTICES",
-    "reachability",
-    "is_r_robust",
-    "max_robustness",
-    "robustness_levels",
-    "RobustnessCertificate",
-    "BoundReport",
-    "LemmaCheck",
-    "StructuralReport",
-    "MAX_EXACT_N",
-    "edge_lower_bound",
-    "check_structural_lemmas",
-    "sparsest_odd",
-    "sparsest_even",
-    "erdos_renyi",
-    "tree_graph",
-    "ThreatModel",
-    "SimulationTrace",
-    "Verdict",
-    "Behavior",
-    "behavior_from_spec",
-    "constant",
-    "linear_ramp",
-    "sinusoid",
-    "random_walk",
-    "nominal_step",
-    "wmsr_step",
-    "simulate",
-    "check_validity",
-    "trace_to_csv_text",
-    "trace_sidecar_dict",
-    "write_trace",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "SummaryRow",
-    "derive_seed",
-    "run_experiment",
-    "records_to_csv_text",
-    "summary_to_csv_text",
-]

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import (MAX_VERTICES, Graph, bits, check_fields, check_int, check_number,
+from .graph import (MAX_VERTICES, Graph, check_fields, check_int, check_number,
                     write_text)
 
 Behavior = Callable[[int], float]
@@ -229,28 +229,6 @@ def _as_state_vector(g: Graph, states) -> np.ndarray:
     return x
 
 
-def nominal_step(g: Graph, states) -> np.ndarray:
-    """One synchronous uniform-weight averaging update for every agent."""
-    return wmsr_step(g, states, 0, range(g.n))
-
-
-def wmsr_step(g: Graph, states, f: int, normal) -> np.ndarray:
-    """One W-MSR update on the given vertices; all others pass through.
-
-    Each updating agent discards up to f neighbor values strictly greater
-    than its own (largest first) and up to f strictly smaller (smallest
-    first), then averages the survivors together with its own value.
-    Values equal to its own always survive.  Among tied extremes the one
-    of lowest vertex index is dropped first, and the survivors are summed
-    left to right in vertex order, which fixes every bit of the result.
-    f = 0 is plain uniform-weight averaging (:func:`nominal_step`).
-    """
-    check_int(f, "trim parameter F")
-    x = _as_state_vector(g, states)
-    updating = list(bits(g.subset_mask(normal)))  # range-validates the update set
-    return _wmsr_update(x, _neighbor_table(g, updating), f)
-
-
 # Updating vertices are handled this many at a time, so the update's
 # temporaries stay O(max degree * _BLOCK) whatever n is.
 _BLOCK = 128
@@ -300,11 +278,10 @@ def _neighbor_table(g: Graph, updating) -> NeighborTable:
 _KEY_ROWS = np.arange(2 * _BLOCK)
 
 
-def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """W-MSR update of the vertices in table, written into out.
+def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int, out: np.ndarray) -> np.ndarray:
+    """W-MSR update of the vertices in table, written into out, whose
+    other entries are kept; out must not overlap x.
 
-    out defaults to a copy of x; a given out keeps its other entries and
-    must not overlap x.
     Each agent's values are keyed twice, as they are for the side above
     its own value and negated for the side below, and f passes replace
     the largest key of every row with -inf.  A pass only takes a value
@@ -318,8 +295,6 @@ def _wmsr_update(x: np.ndarray, table: NeighborTable, f: int, out: Optional[np.n
     term is -0.0, where Python's integer start gives +0.0.  np.sum would
     add pairwise, and np.add.reduce does so even over a single row.
     """
-    if out is None:
-        out = x.copy()
     for block, idx, valid in table:
         k, width = idx.shape
         own = x[block]

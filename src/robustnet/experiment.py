@@ -16,7 +16,7 @@ execution order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
@@ -75,9 +75,6 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         return cls(**check_fields(data, "experiment config", optional=cls.__dataclass_fields__))
@@ -91,7 +88,7 @@ class ExperimentRecord:
     seed: int
     edge_count: int
     r_max: int
-    accepted: bool
+    accepted: bool  # r_max == r, stored: the CSV writer reads it once per record
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,12 @@ class SummaryRow:
     n: int
     min_edges_found: Optional[int]
     bound: int
-    gap: Optional[int]
     accepted: int
     requested: int
+
+    @property
+    def gap(self) -> Optional[int]:
+        return None if self.min_edges_found is None else self.min_edges_found - self.bound
 
     @property
     def shortfall(self) -> bool:
@@ -172,7 +172,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
                     n=n,
                     min_edges_found=min_edges,
                     bound=bound,
-                    gap=None if min_edges is None else min_edges - bound,
                     accepted=accepted_total,
                     requested=config.samples_per_p * len(set(config.p_values)),
                 )

@@ -48,8 +48,10 @@ def check_int(value, what: str, least: Optional[int] = 0, most: Optional[int] = 
 
 def check_number(value, what: str):
     """value, unchanged, if it is a real number in the finite float range; a bool is refused."""
-    # float first: the Real ABC check alone costs about 1 us a call
-    if type(value) is bool or not isinstance(value, (float, Real)) or not abs(value) <= _FLOAT_MAX:
+    # float first: the Real ABC check alone costs about 1 us a call.  A numpy
+    # scalar is compared as its Python value: a float16 would cast the bound to inf.
+    if (type(value) is bool or not isinstance(value, (float, Real))
+            or not abs(value.item() if isinstance(value, np.generic) else value) <= _FLOAT_MAX):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return value
 
@@ -106,9 +108,6 @@ class Graph:
     def degree(self, i: int) -> int:
         self._check_vertex(i)
         return self.rows[i].bit_count()
-
-    def min_degree(self) -> int:
-        return min(row.bit_count() for row in self.rows)
 
     def neighbors(self, i: int) -> frozenset[int]:
         """Vertices adjacent to i; never contains i itself."""
@@ -205,12 +204,6 @@ def max_clique(g: Graph) -> frozenset[int]:
     return frozenset(best)
 
 
-def induced_edge_count(g: Graph, members: Iterable[int]) -> int:
-    """Number of edges of g with both endpoints in the given subset."""
-    mask = g.subset_mask(members)
-    return sum((g.rows[i] & mask).bit_count() for i in bits(mask)) // 2
-
-
 def check_exact_n(n: int, what: str) -> None:
     """Refuse n above MAX_EXACT_N before any search or 2^n table starts."""
     if n > MAX_EXACT_N:
@@ -298,10 +291,6 @@ def parse_edge_list(text: str) -> Graph:
     if n is None:
         raise ValueError("empty edge-list input")
     return _graph_from_ends(n, ends)
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
 def graph_from_json_dict(data: dict) -> Graph:

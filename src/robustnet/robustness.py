@@ -118,8 +118,11 @@ class LemmaCheck:
 @dataclass(frozen=True)
 class StructuralReport:
     n: int
-    r: int
     checks: tuple[LemmaCheck, ...]
+
+    @property
+    def r(self) -> int:
+        return (self.n + 1) // 2
 
     @property
     def all_passed(self) -> bool:
@@ -343,4 +346,4 @@ def check_structural_lemmas(g: Graph) -> StructuralReport:
         subset, count = densest_subset_of_size(g, r + 1)
         checks = (LemmaCheck("clique", (r + 4) // 2, len(clique), clique),
                   LemmaCheck("dense-subset", (r * r + 2) // 2, count, subset))
-    return StructuralReport(n=g.n, r=r, checks=checks)
+    return StructuralReport(n=g.n, checks=checks)

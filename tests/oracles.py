@@ -11,10 +11,13 @@ the pruned level scan with a binary search over r that the certifier used
 before its subset-table kernel.  They fix which witness pair is reported.
 
 loop_wmsr_step is the per-agent Python W-MSR update that preceded the
-vectorised one; it fixes every bit of an update's result.
+vectorised one; it fixes every bit of an update's result.  kernel_wmsr_step
+applies the vectorised update simulate runs to one state vector, so the
+two can be compared on any input.
 
 loop_densest_subset is the loop over all k-combinations that preceded the
-induced-edge table; it fixes which maximizer is reported.
+induced-edge table; it fixes which maximizer is reported.  induced_edge_count
+counts a subset's edges pair by pair.
 
 listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
@@ -22,6 +25,8 @@ sampler and the chunked sweep; they fix every graph and every record.
 
 loop_format_edge_list is the edge-list writer that preceded the one join a
 row: an f-string per edge from Graph.edges().  It fixes every byte written.
+
+graph_to_json_dict writes the JSON graph form that load_graph reads.
 
 oracle_parse_edge_list is the edge-list parser that preceded the one-pass
 reader: a list of ints per line, a (u, v) tuple per edge, and new_graph to
@@ -46,6 +51,7 @@ from robustnet import (
     max_robustness,
     new_graph,
 )
+from robustnet.consensus import _neighbor_table, _wmsr_update
 from robustnet.experiment import NODE_OFFSET_CHOICES
 from robustnet.graph import bits, check_vertex_count
 
@@ -169,7 +175,7 @@ def scan_max_robustness(g):
         outcomes[level] = (robust, masks)
         return robust
 
-    cap = min((g.n + 1) // 2, g.min_degree())
+    cap = min((g.n + 1) // 2, min(row.bit_count() for row in g.rows))
     r_max = 0
     if cap >= 1:
         if scan(cap):
@@ -212,6 +218,12 @@ def loop_wmsr_step(g, states, f, normal):
             kept.remove(v)
         out[i] = (own + sum(kept)) / (len(kept) + 1)
     return out
+
+
+def kernel_wmsr_step(g, states, f, normal):
+    """simulate's W-MSR update of the vertices in normal; all others pass through."""
+    x = np.asarray(states, dtype=float)
+    return _wmsr_update(x, _neighbor_table(g, sorted(normal)), f, out=x.copy())
 
 
 def listcomp_erdos_renyi(n, p, seed):
@@ -259,7 +271,6 @@ def loop_run_experiment(config):
                     n=n,
                     min_edges_found=min_edges,
                     bound=bound,
-                    gap=None if min_edges is None else min_edges - bound,
                     accepted=accepted_total,
                     requested=config.samples_per_p * len(set(config.p_values)),
                 )
@@ -287,6 +298,11 @@ def loop_densest_subset(g, k):
         if count > best_count:
             best_set, best_count = combo, count
     return frozenset(best_set), best_count
+
+
+def induced_edge_count(g, members):
+    """Number of edges of g with both endpoints in members."""
+    return sum(1 for u, v in combinations(sorted(members), 2) if g.has_edge(u, v))
 
 
 def oracle_densest_subset(g, k):
@@ -342,6 +358,10 @@ def cycle_graph(n):
 
 def path_graph(n):
     return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def graph_to_json_dict(g):
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
 def loop_format_edge_list(g):

@@ -13,11 +13,11 @@ import pytest
 import robustnet
 import robustnet.cli
 from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, erdos_renyi, format_edge_list,
-                       graph_to_json_dict, load_graph, new_graph, sparsest_even, sparsest_odd,
-                       tree_graph, write_edge_list)
+                       load_graph, new_graph, sparsest_even, sparsest_odd, tree_graph,
+                       write_edge_list)
 from robustnet.cli import _build_parser, main
 
-from oracles import DEFAULT_SWEEP_SHA256
+from oracles import DEFAULT_SWEEP_SHA256, graph_to_json_dict
 
 
 def write_threat(path, scope="F-local", f=3, malicious=(0, 6, 12), value=150.0):

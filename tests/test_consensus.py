@@ -21,7 +21,6 @@ from robustnet import (
     erdos_renyi,
     linear_ramp,
     new_graph,
-    nominal_step,
     random_walk,
     simulate,
     sinusoid,
@@ -29,7 +28,6 @@ from robustnet import (
     sparsest_odd,
     trace_sidecar_dict,
     trace_to_csv_text,
-    wmsr_step,
     write_trace,
 )
 from robustnet.consensus import BEHAVIOR_KINDS, _neighbor_table
@@ -37,6 +35,7 @@ from robustnet.consensus import BEHAVIOR_KINDS, _neighbor_table
 from oracles import (
     complete_graph,
     cycle_graph,
+    kernel_wmsr_step,
     loop_wmsr_step,
     path_graph,
     random_graph,
@@ -129,13 +128,14 @@ def test_behavior_from_spec():
 # ---------------------------------------------------------------------------
 
 def test_nominal_step_examples():
+    # F = 0 keeps every value: plain uniform-weight averaging
     tri = complete_graph(3)
-    assert np.allclose(nominal_step(tri, [7.0, 7.0, 7.0]), [7.0, 7.0, 7.0])
+    assert np.allclose(kernel_wmsr_step(tri, [7.0, 7.0, 7.0], 0, range(3)), [7.0, 7.0, 7.0])
     k2 = new_graph(2, [(0, 1)])
-    assert np.allclose(nominal_step(k2, [0.0, 10.0]), [5.0, 5.0])
-    assert np.allclose(nominal_step(path_graph(3), [0.0, 3.0, 9.0]), [1.5, 4.0, 6.0])
-    with pytest.raises(ValueError):
-        nominal_step(k2, [1.0, 2.0, 3.0])
+    assert np.allclose(kernel_wmsr_step(k2, [0.0, 10.0], 0, range(2)), [5.0, 5.0])
+    assert np.allclose(kernel_wmsr_step(path_graph(3), [0.0, 3.0, 9.0], 0, range(3)), [1.5, 4.0, 6.0])
+    with pytest.raises(ValueError, match="expected 2 agent states"):
+        simulate(k2, no_threat(), [1.0, 2.0, 3.0])
 
 
 def test_wmsr_step_trims_both_sides():
@@ -143,19 +143,9 @@ def test_wmsr_step_trims_both_sides():
     # F=1 drops 9 (largest above) and 1 (smallest below), keeping 3
     star = new_graph(4, [(0, 1), (0, 2), (0, 3)])
     states = [5.0, 1.0, 3.0, 9.0]
-    out = wmsr_step(star, states, 1, {0})
+    out = kernel_wmsr_step(star, states, 1, {0})
     assert out[0] == pytest.approx(4.0)
     assert list(out[1:]) == [1.0, 3.0, 9.0]  # only vertex 0 updated
-
-
-def test_wmsr_step_f0_equals_nominal():
-    rng = random.Random(8)
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(2, 8), 0.6)
-        states = [rng.uniform(-5, 5) for _ in range(g.n)]
-        assert np.allclose(
-            wmsr_step(g, states, 0, range(g.n)), nominal_step(g, states)
-        )
 
 
 def _reprs(states):
@@ -179,7 +169,7 @@ def test_wmsr_step_matches_loop_oracle_bit_for_bit():
         states = _pool_states(rng, n)
         f = rng.randint(0, 5)
         normal = [i for i in range(n) if rng.random() < 0.7]
-        assert _reprs(wmsr_step(g, states, f, normal)) == _reprs(loop_wmsr_step(g, states, f, normal))
+        assert _reprs(kernel_wmsr_step(g, states, f, normal)) == _reprs(loop_wmsr_step(g, states, f, normal))
 
 
 def test_wmsr_step_matches_loop_oracle_at_the_edges():
@@ -187,17 +177,18 @@ def test_wmsr_step_matches_loop_oracle_at_the_edges():
     for state in (-0.0, 0.0, 5.0):
         for f in (0, 1):
             for normal in ((), (0,)):
-                assert (_reprs(wmsr_step(single, [state], f, normal))
+                assert (_reprs(kernel_wmsr_step(single, [state], f, normal))
                         == _reprs(loop_wmsr_step(single, [state], f, normal)))
     rng = random.Random(405)
     g = random_graph(rng, 9, 0.5)
     states = _pool_states(rng, 9)
-    assert _reprs(wmsr_step(g, states, 2, [])) == _reprs(states)
+    assert _reprs(kernel_wmsr_step(g, states, 2, [])) == _reprs(states)
     sparse = erdos_renyi(1000, 0.01, 406)
     states = _pool_states(rng, 1000)
     normal = [i for i in range(1000) if rng.random() < 0.9]
     for f in (0, 2):
-        assert _reprs(wmsr_step(sparse, states, f, normal)) == _reprs(loop_wmsr_step(sparse, states, f, normal))
+        assert (_reprs(kernel_wmsr_step(sparse, states, f, normal))
+                == _reprs(loop_wmsr_step(sparse, states, f, normal)))
 
 
 def test_wmsr_step_matches_loop_oracle_for_a_lone_hub():
@@ -208,7 +199,7 @@ def test_wmsr_step_matches_loop_oracle_for_a_lone_hub():
         for _ in range(20):
             states = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
             f = rng.randint(0, 3)
-            assert _reprs(wmsr_step(hub, states, f, [0])) == _reprs(loop_wmsr_step(hub, states, f, [0]))
+            assert _reprs(kernel_wmsr_step(hub, states, f, [0])) == _reprs(loop_wmsr_step(hub, states, f, [0]))
 
 
 def test_wmsr_step_matches_loop_oracle_over_blocks_of_different_widths():
@@ -218,7 +209,7 @@ def test_wmsr_step_matches_loop_oracle_over_blocks_of_different_widths():
     normal = [i for i in range(1000) if rng.random() < 0.95]
     widths = [idx.shape[1] for _, idx, _ in _neighbor_table(g, normal)]
     assert len(widths) == 8 and len(set(widths)) == 8
-    assert _reprs(wmsr_step(g, states, 3, normal)) == _reprs(loop_wmsr_step(g, states, 3, normal))
+    assert _reprs(kernel_wmsr_step(g, states, 3, normal)) == _reprs(loop_wmsr_step(g, states, 3, normal))
 
 
 def test_wmsr_step_matches_loop_oracle_when_every_survivor_is_negative_zero():
@@ -231,14 +222,14 @@ def test_wmsr_step_matches_loop_oracle_when_every_survivor_is_negative_zero():
         for hub in hubs:
             states[hub], states[hub + 1], states[hub + 2] = own, 5.0, -5.0
         for f in (1, 2):
-            out = wmsr_step(g, states, f, hubs)
+            out = kernel_wmsr_step(g, states, f, hubs)
             assert _reprs(out) == _reprs(loop_wmsr_step(g, states, f, hubs))
             assert _reprs(out[hubs]) == ["0.0"] * 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_wmsr_step_matches_loop_oracle_on_non_finite_states():
-    # simulate refuses these, but a direct call still follows the loop:
+    # simulate refuses these, but the update kernel still follows the loop:
     # NaN is neither above nor below and always kept, infinities are trimmed
     pool = (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 0.0, -0.0, 1.0)
     rng = random.Random(407)
@@ -247,7 +238,8 @@ def test_wmsr_step_matches_loop_oracle_on_non_finite_states():
         g = random_graph(rng, n, rng.random())
         states = [rng.choice(pool) for _ in range(n)]
         f = rng.randint(0, 3)
-        assert _reprs(wmsr_step(g, states, f, range(n))) == _reprs(loop_wmsr_step(g, states, f, range(n)))
+        assert (_reprs(kernel_wmsr_step(g, states, f, range(n)))
+                == _reprs(loop_wmsr_step(g, states, f, range(n))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -263,7 +255,7 @@ def test_wmsr_step_stays_in_normal_hull_under_f_local(data):
     for m in malicious:
         states[m] = data.draw(st.floats(-1e12, 1e12))
     ThreatModel("F-local", f, {m: constant(states[m]) for m in malicious}).validate(g)
-    out = wmsr_step(g, states, f, normal)
+    out = kernel_wmsr_step(g, states, f, normal)
     for i in normal:
         hull = [states[i]] + [states[j] for j in g.neighbors(i) if j not in malicious]
         lo, hi = min(hull), max(hull)
@@ -273,19 +265,15 @@ def test_wmsr_step_stays_in_normal_hull_under_f_local(data):
 
 def test_wmsr_step_ties_are_retained():
     tri = complete_graph(3)
-    out = wmsr_step(tri, [4.0, 4.0, 4.0], 1, {0, 1, 2})
+    out = kernel_wmsr_step(tri, [4.0, 4.0, 4.0], 1, {0, 1, 2})
     assert np.allclose(out, 4.0)
 
 
 def test_wmsr_step_drops_all_strictly_greater_when_fewer_than_f():
     star = new_graph(3, [(0, 1), (0, 2)])
     # only one value above own; F=2 removes just that one, symmetric below
-    out = wmsr_step(star, [5.0, 9.0, 5.0], 2, {0})
+    out = kernel_wmsr_step(star, [5.0, 9.0, 5.0], 2, {0})
     assert out[0] == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        wmsr_step(star, [0.0, 0.0, 0.0], -1, {0})
-    with pytest.raises(ValueError, match="non-negative integer"):
-        wmsr_step(star, [0.0, 0.0, 0.0], True, {0})
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +484,9 @@ def test_state_vectors_must_hold_real_numbers():
                 np.array([True, False, True]), np.array(["1", "2", "3"]), np.array([1.0, 2.0, 3.0], dtype=object)):
         with pytest.raises(ValueError, match="agent states must be real numbers"):
             simulate(g, threat, bad)
-        with pytest.raises(ValueError, match="agent states must be real numbers"):
-            wmsr_step(g, bad, 0, range(3))
     # every real type is still read, numpy's included
     for good in ([0, 1.0, 2], (0.0, np.float32(1.0), np.int64(2)), np.array([0, 1, 2]), np.array([0.0, 1.0, 2.0])):
-        assert _reprs(wmsr_step(g, good, 0, range(3))) == ["0.5", "1.0", "1.5"]
+        assert _reprs(simulate(g, no_threat(), good, max_steps=1).states[1]) == ["0.5", "1.0", "1.5"]
         assert simulate(g, threat, good).states[0].tolist() == [0.0, 2.0, 2.0]
 
 

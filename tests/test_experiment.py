@@ -104,12 +104,12 @@ def _configs():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_configs())
 def test_config_json_round_trip_property(config):
-    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
 
 def test_config_json_round_trip():
     config = ExperimentConfig(r_values=(1, 2), p_values=(0.8,), master_seed=9)
-    data = config.to_json_dict()
+    data = dataclasses.asdict(config)
     assert ExperimentConfig.from_json_dict(data) == config
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict({"r_values": [1], "bogus": True})

@@ -2,9 +2,13 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +21,6 @@ from robustnet import (
     erdos_renyi,
     format_edge_list,
     graph_from_json_dict,
-    graph_to_json_dict,
-    induced_edge_count,
     load_graph,
     max_clique,
     new_graph,
@@ -35,7 +37,9 @@ from oracles import (
     complete_graph,
     cycle_graph,
     edge_list_texts,
+    graph_to_json_dict,
     has_clique_of_size,
+    induced_edge_count,
     loop_densest_subset,
     loop_format_edge_list,
     oracle_densest_subset,
@@ -150,9 +154,16 @@ def test_check_int_accepts_only_ints_in_range():
 def test_check_number_accepts_finite_reals_unchanged():
     assert type(check_number(1, "p")) is int  # no float conversion: p = 1 keeps its seeds
     assert check_number(-2.5, "p") == -2.5
-    for bad in (True, False, math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [0.5]):
-        with pytest.raises(ValueError, match="p must be a finite number"):
-            check_number(bad, "p")
+    just_above = int(sys.float_info.max) + 1  # float() would round it down to the bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy scalar is read with no cast warning
+        for good in (np.float16(65504), np.float32(0.3), np.finfo(np.float32).max, np.uint8(1)):
+            assert check_number(good, "p") is good
+        for bad in (True, False, math.nan, math.inf, -math.inf, 10 ** 400, "0.5", None, [0.5],
+                    np.float16("inf"), np.float32("nan"), np.bool_(True), just_above, -just_above,
+                    Fraction(10 ** 400)):
+            with pytest.raises(ValueError, match="p must be a finite number"):
+                check_number(bad, "p")
 
 
 def test_check_fields_refuses_non_objects_missing_and_unknown_keys():
