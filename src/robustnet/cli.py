@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     csv_path, sidecar_path = write_trace(trace, args.out_prefix)
     verdict = check_validity(trace)
     verdict_path = Path(f"{args.out_prefix}.verdict.json")
-    write_text(verdict_path, json.dumps(verdict.to_json_dict(), indent=2) + "\n")
+    write_text(verdict_path, json.dumps(dataclasses.asdict(verdict), indent=2) + "\n")
     code = 0 if verdict.agreement and verdict.validity else 1
     if args.quiet:
         return code
@@ -152,10 +152,7 @@ def cmd_bounds(args) -> int:
         reports.append(edge_lower_bound(2 * r - 1, r))
         reports.append(edge_lower_bound(2 * r, r))
     if args.format == "json":
-        text = json.dumps(
-            [{"r": b.r, "n": b.n, "bound": b.bound, "kind": b.kind} for b in reports],
-            indent=2,
-        ) + "\n"
+        text = json.dumps([dataclasses.asdict(b) for b in reports], indent=2) + "\n"
     elif args.format == "csv":
         lines = ["r,n,bound,kind"]
         lines.extend(f"{b.r},{b.n},{b.bound},{b.kind}" for b in reports)

@@ -21,7 +21,7 @@ import json
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Optional
@@ -207,19 +207,20 @@ class Verdict:
     validity: bool
     final_disagreement: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _as_state_vector(g: Graph, states) -> np.ndarray:
     """states as a float vector of g.n agent states.
 
     Every entry must be a real number and not a bool, the rule
     check_number applies to every other numeric input: an ndarray by its
-    dtype, anything else by one pass over the types of its entries (a
-    string or a bool would otherwise be parsed as a number).
+    dtype, any other iterable, read once into a list, by the types of its
+    entries (a string or a bool would otherwise be parsed as a number).
     """
-    kinds = [states.dtype.type] if isinstance(states, np.ndarray) else dict.fromkeys(map(type, states))
+    if isinstance(states, np.ndarray):
+        kinds = [states.dtype.type]
+    else:
+        states = list(states)  # the type pass would spend a generator, and np.asarray cannot read a dict view
+        kinds = dict.fromkeys(map(type, states))
     for kind in kinds:
         if kind is bool or not issubclass(kind, Real):
             raise ValueError(f"agent states must be real numbers, got a {kind.__name__}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
-from .graph import check_fields, check_int, check_number
-from .robustness import MAX_EXACT_N, edge_lower_bound, robustness_levels
+from .graph import MAX_EXACT_N, check_fields, check_int, check_number
+from .robustness import edge_lower_bound, robustness_levels
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
 DEFAULT_P_VALUES = (0.7, 0.75, 0.8, 0.85, 0.9)
@@ -114,14 +114,13 @@ def _certified_draws(config: ExperimentConfig, r: int, n: int, p: float):
 
     The draws are certified in chunks by one robustness_levels call each:
     first samples_per_p attempts, then twice the previous chunk, each capped
-    by the attempts left and by 2^MAX_EXACT_N >> n graphs.  robustness_levels
-    bounds its own memory, so the cap only limits the draws certified and
-    thrown away after the cell's last acceptance.
+    by the attempts left.  robustness_levels slices each chunk to bound its
+    own memory.
     """
     attempt = 0
     chunk = config.samples_per_p
     while attempt < config.max_attempts:
-        end = attempt + min(chunk, config.max_attempts - attempt, (1 << MAX_EXACT_N) >> n)
+        end = attempt + min(chunk, config.max_attempts - attempt)
         seeds = [derive_seed(config.master_seed, r, n, p, a) for a in range(attempt, end)]
         graphs = [erdos_renyi(n, p, seed) for seed in seeds]
         yield from zip(seeds, graphs, robustness_levels(graphs))

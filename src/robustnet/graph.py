@@ -228,7 +228,7 @@ def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
     n = g.n
     check_exact_n(n, "densest_subset_of_size")
     size = 1 << n
-    edges = np.zeros(size, dtype=np.uint8)  # at most C(20, 2) = 190
+    edges = np.zeros(size, dtype=np.uint8)  # C(n, 2) + 1 at most: fits uint8 up to n = 23
     members = np.zeros(size, dtype=np.uint8)  # the size of each mask
     for j in range(n):
         v = n - 1 - j

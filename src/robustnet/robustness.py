@@ -31,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (MAX_EXACT_N, Graph, bits, check_exact_n, check_int,
-                    densest_subset_of_size, max_clique)
+from .graph import Graph, bits, check_exact_n, check_int, densest_subset_of_size, max_clique
 
 ODD_CASE = "odd-case"
 EVEN_CASE = "even-case"
@@ -43,6 +42,7 @@ _NONE = np.int8(127)  # table entry of the empty mask, above every reach
 _LOW_BITS = 5  # mask bits whose transform passes run on the transposed table
 _CHUNK = 1 << 17  # entries in one vertex chunk of the reach build
 _BLOCK = 1 << 12  # S1 masks screened per round of the witness search
+_SLICE = 1 << 20  # table entries (B * 2^n) in one robustness_levels slice
 
 WitnessPair = tuple[frozenset[int], frozenset[int]]
 
@@ -93,10 +93,11 @@ def _json_int_list(values) -> str:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower bound on the edge count of any r-robust graph on n vertices."""
+    """Lower bound on the edge count of any r-robust graph on n vertices;
+    the field order is the key order of bounds --format json."""
 
-    n: int
     r: int
+    n: int
     bound: int
     kind: str
 
@@ -292,8 +293,8 @@ def robustness_levels(graphs) -> list[int]:
     Equals [max_robustness(g).r_max for g in graphs], with the same
     single-vertex convention and capability limit, but certifies the stack
     with one pass of the subset-table kernel per slice of B graphs, where
-    B * 2^n <= 2^MAX_EXACT_N: no slice takes more memory than one
-    certification at the limit, however many graphs are given.
+    B * 2^n <= _SLICE entries (one certification at n = 20), or B = 1 past
+    n = 20: memory does not grow with the stack, however many graphs are given.
     """
     if not graphs:
         return []
@@ -301,7 +302,7 @@ def robustness_levels(graphs) -> list[int]:
     if any(g.n != n for g in graphs):
         raise ValueError("robustness_levels needs graphs with one vertex count")
     check_exact_n(n, "exact certification")
-    step = (1 << MAX_EXACT_N) >> n
+    step = max(1, _SLICE >> n)
     levels = []
     for start in range(0, len(graphs), step):
         rows = [g.rows for g in graphs[start:start + step]]

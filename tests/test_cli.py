@@ -557,7 +557,7 @@ def test_experiment_config_types_exit_2(tmp_path, capsys, field, value):
 
 def test_experiment_config_file_is_checked_before_flags_replace_fields(tmp_path, capsys):
     config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps({"r_values": [11], "output_dir": str(tmp_path / "out")}))
+    config_file.write_text(json.dumps({"r_values": [MAX_EXACT_N // 2 + 1], "output_dir": str(tmp_path / "out")}))
     before = sorted(tmp_path.iterdir())
     assert main(["experiment", "--config", str(config_file), "--r-values", "2", "--quiet"]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
@@ -566,7 +566,7 @@ def test_experiment_config_file_is_checked_before_flags_replace_fields(tmp_path,
 
 
 def test_experiment_invalid_config(tmp_path, capsys):
-    assert main(["experiment", "--r-values", "12", "--quiet"]) == 2
+    assert main(["experiment", "--r-values", str(MAX_EXACT_N // 2 + 2), "--quiet"]) == 2
     assert "capability" in capsys.readouterr().err
 
 

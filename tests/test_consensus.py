@@ -490,6 +490,17 @@ def test_state_vectors_must_hold_real_numbers():
         assert simulate(g, threat, good).states[0].tolist() == [0.0, 2.0, 2.0]
 
 
+def test_state_vectors_may_be_any_iterable():
+    g, threat = sparsest_odd(3), ThreatModel("F-local", 1, {})
+    expected = simulate(g, threat, [float(i) for i in range(5)]).states.tobytes()
+    for states in (tuple(float(i) for i in range(5)), (float(i) for i in range(5)),
+                   iter([float(i) for i in range(5)]), {i: float(i) for i in range(5)}.values()):
+        assert simulate(g, threat, states).states.tobytes() == expected
+    for bad in ((True for _ in range(5)), (str(i) for i in range(5))):
+        with pytest.raises(ValueError, match="agent states must be real numbers"):
+            simulate(g, threat, bad)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_simulate_rejects_update_overflow():
     # every state is finite, but the sum of the neighbors' values is not
@@ -674,7 +685,7 @@ def test_check_validity_flags_hull_escape():
     assert not verdict.agreement
     assert not verdict.validity
     assert verdict.final_disagreement == 10.0
-    assert set(verdict.to_json_dict()) == {"agreement", "validity", "final_disagreement"}
+    assert list(dataclasses.asdict(verdict)) == ["agreement", "validity", "final_disagreement"]
 
 
 def test_trace_normal_is_every_vertex_not_malicious():

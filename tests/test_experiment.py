@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustnet.experiment
+import robustnet.robustness
 from robustnet import (
     MAX_EXACT_N,
     ExperimentConfig,
@@ -22,6 +23,7 @@ from robustnet import (
     summary_to_csv_text,
 )
 from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
+from robustnet.robustness import _subset_tables
 
 from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment
 
@@ -37,16 +39,16 @@ def test_derive_seed_is_stable():
 
 def test_config_validation():
     ExperimentConfig()
-    ExperimentConfig(r_values=(10,))  # 2r = 20 = MAX_EXACT_N
-    with pytest.raises(ValueError, match="capability limit 20"):
-        ExperimentConfig(r_values=(11,))
+    ExperimentConfig(r_values=(MAX_EXACT_N // 2,))  # 2r = MAX_EXACT_N
+    with pytest.raises(ValueError, match=f"capability limit {MAX_EXACT_N}"):
+        ExperimentConfig(r_values=(MAX_EXACT_N // 2 + 1,))
     ExperimentConfig(master_seed=-3, p_values=(1,))
 
 
 _BAD_CONFIG_FIELDS = [
     dict(r_values=()),
     dict(r_values=(0,)),
-    dict(r_values=(11,)),
+    dict(r_values=(MAX_EXACT_N // 2 + 1,)),
     dict(p_values=(0.0,)),
     dict(p_values=(1.2,)),
     dict(node_offsets=("3r",)),
@@ -249,24 +251,34 @@ def test_default_sweep_goldens():
             assert row.r < 2 or check_structural_lemmas(g).all_passed
 
 
-def test_chunks_stay_within_one_certification_at_the_limit(monkeypatch):
-    chunks = []
+def test_slices_stay_within_one_certification_at_n_20(monkeypatch):
+    # chunks double, capped only by the attempts left; robustness_levels then
+    # slices each chunk to at most 2^20 table entries, one certification at n = 20
+    chunks, slices = [], []
 
-    def spy(graphs):
+    def chunk_spy(graphs):
         chunks.append((len(graphs), graphs[0].n))
         return robustness_levels(graphs)
 
-    monkeypatch.setattr(robustnet.experiment, "robustness_levels", spy)
+    def slice_spy(rows):
+        slices.append((len(rows), len(rows[0])))
+        return _subset_tables(rows)
+
+    monkeypatch.setattr(robustnet.experiment, "robustness_levels", chunk_spy)
+    monkeypatch.setattr(robustnet.robustness, "_subset_tables", slice_spy)
     config = ExperimentConfig(r_values=(6,), p_values=(0.1,), node_offsets=("2r",),
                               samples_per_p=300, master_seed=2, max_attempts=700)
     records, _ = run_experiment(config)
     assert len(records) == 700  # p = 0.1 never gives a 6-robust graph
-    assert chunks == [(256, 12)] * 2 + [(188, 12)]
+    assert chunks == [(300, 12), (400, 12)]
+    assert slices == [(256, 12), (44, 12), (256, 12), (144, 12)]
     chunks.clear()
+    slices.clear()
     run_experiment(ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=("2r-1",),
                                     samples_per_p=10, master_seed=0, max_attempts=3))
-    assert chunks == [(2, 19), (1, 19)]
-    assert all(size << n <= 1 << MAX_EXACT_N for size, n in chunks)
+    assert chunks == [(3, 19)]
+    assert slices == [(2, 19), (1, 19)]
+    assert all(size << n <= 1 << 20 for size, n in slices)
 
 
 def _peak_bytes(run):
@@ -280,7 +292,8 @@ def _peak_bytes(run):
 
 
 def test_sweep_memory_at_the_limit_is_one_certification():
-    single = _peak_bytes(lambda: max_robustness(erdos_renyi(MAX_EXACT_N, 0.8, 1)))
+    # robustness_levels slices to 2^20 table entries, one certification at n = 20
+    single = _peak_bytes(lambda: max_robustness(erdos_renyi(20, 0.8, 1)))
     for offset in ("2r", "2r-1"):  # one graph at n = 20, two at n = 19
         config = ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=(offset,),
                                   samples_per_p=10, master_seed=0, max_attempts=3)

@@ -388,6 +388,13 @@ def test_densest_subset_memory_at_the_limit():
     assert len(subset) == 11 and count == induced_edge_count(g, subset)
 
 
+def test_densest_subset_counts_every_edge_at_the_limit():
+    # the uint8 count table holds C(n, 2) + 1 only up to n = 23
+    subset, count = densest_subset_of_size(complete_graph(MAX_EXACT_N), MAX_EXACT_N)
+    assert subset == frozenset(range(MAX_EXACT_N))
+    assert count == MAX_EXACT_N * (MAX_EXACT_N - 1) // 2
+
+
 def test_densest_subset_refuses_n_above_limit_before_building():
     big = new_graph(MAX_EXACT_N + 1)
 

@@ -19,9 +19,9 @@ from robustnet import (
     sparsest_odd,
     tree_graph,
 )
-from robustnet.graph import bits
-from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MAX_EXACT_N, MIN_DEGREE, ODD_CASE,
-                                  _NONE, RobustnessCertificate, _reach_terms, _subset_tables)
+from robustnet.graph import MAX_EXACT_N, bits
+from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MIN_DEGREE, ODD_CASE, _NONE,
+                                  RobustnessCertificate, _reach_terms, _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -488,4 +488,4 @@ def test_structural_checks_are_chosen_by_n_alone():
 
 def test_structural_checks_wrong_n():
     with pytest.raises(ValueError, match=f"limit of {MAX_EXACT_N}"):
-        check_structural_lemmas(sparsest_odd(11))  # n=21
+        check_structural_lemmas(sparsest_odd((MAX_EXACT_N + 1) // 2 + 1))  # the first odd n above the limit
