@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .graph import (MAX_VERTICES, Graph, check_fields, check_int, check_number,
-                    write_text)
+                    set_bit_columns, write_text)
 
 Behavior = Callable[[int], float]
 
@@ -215,11 +215,16 @@ def _as_state_vector(g: Graph, states) -> np.ndarray:
     check_number applies to every other numeric input: an ndarray by its
     dtype, any other iterable, read once into a list, by the types of its
     entries (a string or a bool would otherwise be parsed as a number).
+    Anything that is not iterable, a lone number or None, is refused too.
     """
     if isinstance(states, np.ndarray):
         kinds = [states.dtype.type]
     else:
-        states = list(states)  # the type pass would spend a generator, and np.asarray cannot read a dict view
+        try:
+            items = iter(states)
+        except TypeError:  # a lone number or None
+            raise ValueError(f"agent states must be numbers in a sequence, got {states!r}") from None
+        states = list(items)  # the type pass would spend a generator, and np.asarray cannot read a dict view
         kinds = dict.fromkeys(map(type, states))
     for kind in kinds:
         if kind is bool or not issubclass(kind, Real):
@@ -255,7 +260,6 @@ def _neighbor_table(g: Graph, updating) -> NeighborTable:
     verts = np.asarray(updating, dtype=np.intp)
     degrees = np.array([rows[i].bit_count() for i in updating], dtype=np.intp)
     order = np.argsort(-degrees, kind="stable")
-    nbytes = (g.n + 7) // 8
     table = []
     for start in range(0, len(order), _BLOCK):
         pick = order[start:start + _BLOCK]
@@ -264,13 +268,8 @@ def _neighbor_table(g: Graph, updating) -> NeighborTable:
         idx = np.repeat(block[:, None], deg[0], axis=1)
         valid = np.arange(deg[0]) < deg[:, None]
         if deg[0]:
-            packed = np.frombuffer(b"".join(rows[i].to_bytes(nbytes, "little") for i in block.tolist()),
-                                   dtype=np.uint8)
-            at = np.flatnonzero(packed)
-            # bit 8j + b of the unpacked nonzero bytes is bit b of byte at[j]
-            set_bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
-            # bytes and bits ascend row by row, so each row's first deg slots get its neighbors in order
-            idx[valid] = (at % nbytes * 8)[set_bits >> 3] + (set_bits & 7)
+            # bits ascend row by row, so each row's first deg slots get its neighbors in order
+            idx[valid] = set_bit_columns([rows[i] for i in block.tolist()], g.n)
         table.append((block, idx, valid))
     return table
 

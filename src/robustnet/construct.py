@@ -35,16 +35,19 @@ from .graph import Graph, check_int, check_number, check_vertex_count
 
 TREE_SHAPES = ("path", "star", "random")
 
-# Graphs with fewer pairs call random() once a pair.  With CPython 3.11 on
-# one Xeon core the word-level sampler ties that loop near 600 pairs (n = 35)
-# for p = 0.5, but near 2,500 (n = 72) for p = 0.05, where the loop sets
-# fewer bits.  At 1,024 pairs (n = 46) either path is at most 30 us slower.
-WORD_SAMPLER_PAIRS = 1 << 10
+# Graphs with fewer pairs call random() once a pair.  The word-level sampler
+# pays about 0.2 ms a draw to build and load its MT19937; with CPython 3.11
+# on one Xeon core it ties that loop near 2,000 pairs (n = 65) for p = 0.5,
+# near 4,000 (n = 91) for p = 0.2 and past 6,000 (n = 110) for p = 0.05,
+# where the loop sets fewer bits.  At 4,096 pairs (n = 92) either path is
+# at most 0.3 ms slower.
+WORD_SAMPLER_PAIRS = 1 << 12
 
 # Pairs a row block draws at most, unless its 8 rows hold more.  Blocks of
 # 2**12 to 2**16 pairs sample G(n, p) for n = 300..4000 within 5 % of each
-# other, and a block's temporaries take about 24 B a pair: at 2**16 they
-# raised the peak RSS of three G(1000, p) draws by 1.5 MB, at 2**14 by none.
+# other, and a block's temporaries take about 20 B a pair: at 24 B, blocks
+# of 2**16 raised the peak RSS of three G(1000, p) draws by 1.5 MB, of 2**14
+# by none.
 BLOCK_PAIRS = 1 << 14
 
 
@@ -148,30 +151,48 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 def _word_sampled_rows(n: int, p: float, rng: random.Random) -> tuple[int, ...]:
     """The rows erdos_renyi draws from rng, decided a block of rows at a time.
 
-    Each block of rows, a multiple of 8 but the last, takes its pairs' words,
-    two a pair, with one getrandbits call, which puts the first word least
-    significant.  Its hits are ORed into a packed bit matrix (bit j of row i
-    in byte j // 8) once as rows and once transposed, so temporaries stay
-    near 24 * BLOCK_PAIRS bytes at any n.
+    The words come from a numpy MT19937 loaded with rng's key and position,
+    which runs the same recurrence and tempering as random.Random and so
+    yields the same 32-bit words; rng itself is left where it was.  Each
+    block of rows, a multiple of 8 but the last, takes its pairs' words,
+    two a pair.  Its hits are ORed into a packed bit matrix (bit j of a row
+    in byte j // 8) once as rows and once transposed.  The matrix holds row
+    i at index n - 1 - i, so the rows a block finishes are its last ones:
+    they are read into ints and cut off, and the matrix and the ints
+    together stay near n**2 / 8 bytes.  Temporaries stay near
+    20 * BLOCK_PAIRS bytes at any n.
     """
+    from numpy.random import MT19937  # here, so drawing small graphs never imports it
+
     # the count of draws X / 2**53 below p, found by the loop's own comparison:
     # a numpy float32 p, say, compares in float32
     threshold = bisect.bisect_left(range(1 << 53), True, key=lambda x: not math.ldexp(x, -53) < p)
+    state = rng.getstate()[1]  # the 624 words of the key, then the position in it
+    source = MT19937(0)  # a fixed seed spares an entropy read; the state is replaced next
+    source.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     matrix = np.zeros((n, (n + 7) >> 3), np.uint8)
+    rows: list[int] = []
     i0 = 0
     while i0 < n - 1:
-        span = n - i0  # the block's pairs lie in columns i0..n-1
+        span = n - i0  # the block's pairs lie in columns i0..n-1, its rows at indices span-b..span-1
         b = min(span, max(8, BLOCK_PAIRS // (span - 1) // 8 * 8))
         m = b * (span - 1) - b * (b - 1) // 2
-        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
-        draws = (words & 0xFFFFFFE0) << 21  # (w0 >> 5) * 2**26
-        draws |= words >> 38  # + (w1 >> 6)
+        words = source.random_raw(2 * m)  # 32-bit words in uint64s, w0 and w1 of each pair in turn
+        draws, w1 = words[0::2], words[1::2]
+        draws >>= 5  # in place: (w0 >> 5) * 2**26 + (w1 >> 6)
+        draws <<= 26
+        w1 >>= 6
+        draws |= w1
         block = np.less.outer(np.arange(b), np.arange(span))
         block[block] = draws < threshold
-        matrix[i0:i0 + b, i0 >> 3:] |= np.packbits(block, axis=1, bitorder="little")
-        matrix[i0:, i0 >> 3:(i0 + b + 7) >> 3] |= np.packbits(block, axis=0, bitorder="little").T
+        matrix[span - b:span, i0 >> 3:] |= np.packbits(block[::-1], axis=1, bitorder="little")
+        matrix[:span, i0 >> 3:(i0 + b + 7) >> 3] |= np.packbits(block[:, ::-1], axis=0, bitorder="little").T
+        rows += [int.from_bytes(row, "little") for row in matrix[span - b:span][::-1]]
+        # refcheck=False: no view of matrix is alive here
+        matrix.resize((span - b, matrix.shape[1]), refcheck=False)
         i0 += b
-    return tuple(int.from_bytes(row, "little") for row in matrix)
+    rows += [int.from_bytes(row, "little") for row in matrix]  # row n - 1, unless the last block took it
+    return tuple(rows)
 
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:

@@ -14,6 +14,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Real
 from typing import Iterable, Iterator, Optional
 
@@ -69,6 +70,21 @@ def check_fields(data, what: str, required=(), optional=()) -> dict:
         if key not in data:
             raise ValueError(f"{what} is missing {key!r}")
     return data
+
+
+def set_bit_columns(rows: Iterable[int], n: int) -> np.ndarray:
+    """The indices of the set bits of each row in turn, ascending within a row.
+
+    The rows, each below 2**n, are packed (n + 7) // 8 bytes each and only
+    their nonzero bytes are unpacked, so past the packing the cost follows
+    the set bits, not n.
+    """
+    nbytes = (n + 7) >> 3
+    packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in rows), np.uint8)
+    at = np.flatnonzero(packed)
+    # bit 8k + b of the unpacked nonzero bytes is bit b of byte at[k]
+    set_bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
+    return (at % nbytes * 8)[set_bits >> 3] + (set_bits & 7)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -250,15 +266,34 @@ def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
 # File formats: edge-list text and JSON
 # ---------------------------------------------------------------------------
 
+# Bits of the rows format_edge_list unpacks at once, n a row, so that its
+# arrays and the ends it lists stay O(this) at any n.
+_WRITE_BLOCK_BITS = 1 << 17
+
+
 def format_edge_list(g: Graph) -> str:
-    """Edge-list text: first line n, then one 'u v' line per edge, sorted."""
-    lines = [str(g.n)]
-    for u, row in enumerate(g.rows):
+    """Edge-list text: first line n, then one 'u v' line per edge, sorted.
+
+    Rows are read in blocks of about _WRITE_BLOCK_BITS bits: set_bit_columns
+    finds each block's edges, which are listed by precomputed vertex labels,
+    and the block's lines are joined before the next block is read.  So
+    next to the text only one block's arrays and lines are alive, never an
+    int or a line for every edge.
+    """
+    n = g.n
+    labels = np.array([str(v) for v in range(n)], dtype=object)
+    step = max(1, _WRITE_BLOCK_BITS // n)
+    blocks = [str(n)]
+    for u0 in range(0, n, step):
+        upper = [row >> s << s for s, row in enumerate(g.rows[u0:u0 + step], u0 + 1)]  # columns above u
+        ends = iter(labels[set_bit_columns(upper, n)].tolist())  # the labels themselves: no int a bit
         # one join a row: u's lines after the first start at the separator
-        tail = f"\n{u} ".join(map(str, bits(row >> (u + 1) << (u + 1))))
-        if tail:
-            lines.append(f"{u} {tail}")
-    return "\n".join(lines) + "\n"
+        lines = [f"{u} " + f"\n{u} ".join(islice(ends, row.bit_count()))
+                 for u, row in enumerate(upper, u0) if row]
+        if lines:
+            blocks.append("\n".join(lines))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -23,6 +23,11 @@ listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
 sampler and the chunked sweep; they fix every graph and every record.
 
+getrandbits_word_rows is the word-level G(n, p) sampler that preceded the
+numpy MT19937 source: each row block's words from one getrandbits call,
+first word least significant.  It fixes the words the source must yield,
+from any point of the Random's stream.
+
 loop_format_edge_list is the edge-list writer that preceded the one join a
 row: an f-string per edge from Graph.edges().  It fixes every byte written.
 
@@ -37,6 +42,8 @@ DEFAULT_SWEEP_SHA256 is the sha256 of each CSV of the default
 ExperimentConfig() sweep, which every sweep path must reproduce.
 """
 
+import bisect
+import math
 import random
 from itertools import combinations
 
@@ -51,6 +58,7 @@ from robustnet import (
     max_robustness,
     new_graph,
 )
+from robustnet import construct
 from robustnet.consensus import _neighbor_table, _wmsr_update
 from robustnet.experiment import NODE_OFFSET_CHOICES
 from robustnet.graph import bits, check_vertex_count
@@ -231,6 +239,28 @@ def listcomp_erdos_renyi(n, p, seed):
     random.Random(seed) draw per pair (i, j), i < j, in lexicographic
     order, passed to new_graph."""
     return random_graph(random.Random(seed), n, p)
+
+
+def getrandbits_word_rows(n, p, rng):
+    """The rows of construct._word_sampled_rows, each row block's words
+    drawn by rng.getrandbits and the rows read from a packed bit matrix in
+    row order; blocks follow construct.BLOCK_PAIRS as it is at call time."""
+    threshold = bisect.bisect_left(range(1 << 53), True, key=lambda x: not math.ldexp(x, -53) < p)
+    matrix = np.zeros((n, (n + 7) >> 3), np.uint8)
+    i0 = 0
+    while i0 < n - 1:
+        span = n - i0
+        b = min(span, max(8, construct.BLOCK_PAIRS // (span - 1) // 8 * 8))
+        m = b * (span - 1) - b * (b - 1) // 2
+        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+        draws = (words & 0xFFFFFFE0) << 21  # (w0 >> 5) * 2**26
+        draws |= words >> 38  # + (w1 >> 6)
+        block = np.less.outer(np.arange(b), np.arange(span))
+        block[block] = draws < threshold
+        matrix[i0:i0 + b, i0 >> 3:] |= np.packbits(block, axis=1, bitorder="little")
+        matrix[i0:, i0 >> 3:(i0 + b + 7) >> 3] |= np.packbits(block, axis=0, bitorder="little").T
+        i0 += b
+    return tuple(int.from_bytes(row, "little") for row in matrix)
 
 
 def loop_run_experiment(config):

@@ -501,6 +501,13 @@ def test_state_vectors_may_be_any_iterable():
             simulate(g, threat, bad)
 
 
+def test_states_that_are_not_iterable_raise_value_error():
+    g, threat = sparsest_odd(3), ThreatModel("F-local", 1, {})
+    for bad in (5.0, None, 3, np.float64(1.0)):
+        with pytest.raises(ValueError, match="agent states must be numbers in a sequence"):
+            simulate(g, threat, bad)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_simulate_rejects_update_overflow():
     # every state is finite, but the sum of the neighbors' values is not

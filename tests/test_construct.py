@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustnet
 from robustnet import (
     MAX_VERTICES,
     edge_lower_bound,
@@ -19,7 +24,7 @@ from robustnet import (
 )
 from robustnet import construct
 
-from oracles import listcomp_erdos_renyi
+from oracles import getrandbits_word_rows, listcomp_erdos_renyi
 
 
 def test_sparsest_odd_edge_counts():
@@ -172,6 +177,50 @@ def test_word_sampler_matches_edge_list_sampler_over_many_blocks(monkeypatch):
         p = rng.random()
         seed = rng.getrandbits(64)
         assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed), (n, p, seed)
+
+
+def _advanced(seed, draws):
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    return rng
+
+
+@pytest.mark.parametrize("block_pairs", [construct.BLOCK_PAIRS, 64])
+@pytest.mark.parametrize("draws", [0, 3, 700], ids=["fresh", "mid-key", "next-key"])
+def test_word_source_yields_the_getrandbits_words(monkeypatch, draws, block_pairs):
+    # the numpy MT19937 takes over the Random's key and position, also mid-stream
+    monkeypatch.setattr(construct, "BLOCK_PAIRS", block_pairs)
+    if draws:
+        assert _advanced(1, draws).getstate()[1][-1] != 624
+    for n, p, seed in ((FIRST_WORD_N, 0.5, 1), (ONE_BLOCK_N + 2, 0.3183098861837907, 2**64 - 1),
+                       (300, 0.05, -7)):
+        assert (construct._word_sampled_rows(n, p, _advanced(seed, draws))
+                == getrandbits_word_rows(n, p, _advanced(seed, draws))), (n, p, seed)
+
+
+def test_small_draws_leave_numpy_random_unloaded():
+    # only the word-level sampler imports numpy.random, so certify and sweep never load it
+    code = ("import sys, robustnet; robustnet.erdos_renyi(16, 0.5, 1); "
+            "sys.exit('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(robustnet.__file__).parents[1]),
+                                                                    os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_erdos_renyi_releases_matrix_rows_as_it_reads_them():
+    # the packed matrix and the row ints each take about n**2 / 8 bytes; holding
+    # both at once would lift the peak that far above what the graph keeps
+    n = 6000
+    erdos_renyi(FIRST_WORD_N, 0.5, 1)  # numpy.random is imported outside the trace
+    tracemalloc.start()
+    try:
+        g = erdos_renyi(n, 0.5, 2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == n
+    assert peak - kept < n * n // 16
 
 
 def test_erdos_renyi_memory_stays_within_its_blocks():

@@ -418,10 +418,22 @@ def test_edge_list_round_trip():
     lambda: erdos_renyi(199, 0.9, 3),
     lambda: new_graph(300),
     lambda: new_graph(1),
-], ids=["G(1000,0.05)", "G(199,0.9)", "edgeless", "one-vertex"])
+    # row blocks of 65 rows: most hold no edge, and the last row none either
+    lambda: new_graph(2000, [(0, 1999), (700, 701), (700, 1999), (1500, 1998), (1998, 1999)]),
+], ids=["G(1000,0.05)", "G(199,0.9)", "edgeless", "one-vertex", "sparse-blocks"])
 def test_format_edge_list_matches_loop_writer_on_large_graphs(build):
     g = build()
     assert format_edge_list(g) == loop_format_edge_list(g)
+
+
+def test_format_edge_list_memory_stays_within_its_blocks():
+    # the text and its blocks' lines take twice its length; reading every row
+    # at once would add tens of MB of column ints for the million edges
+    g = erdos_renyi(2000, 0.5, 1)
+    texts = []
+    peak = _traced_memory(lambda: texts.append(format_edge_list(g)))[1]
+    assert texts[0].count("\n") == g.edge_count + 1
+    assert peak < 2 * len(texts[0]) + (4 << 20)
 
 
 def test_edge_list_comments_and_blanks():
