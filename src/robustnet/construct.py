@@ -16,14 +16,17 @@ graph.
 erdos_renyi decides pair (i, j) by the draw random() would return there:
 ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the pair's two generator words
 w0, w1, an edge when below p.  A graph with at least WORD_SAMPLER_PAIRS
-pairs takes each row block's words with one getrandbits call and compares
-each draw's numerator in numpy with the count of draws below p; a smaller
-graph calls random() once per pair.  Both give the same graph bit for bit.
+pairs takes each row block's words from numpy's MT19937 loaded with the
+random.Random's key and position (the same generator, so the same words)
+and compares each draw's numerator in numpy with the count of draws below
+p; numpy.random is imported only on that path.  A smaller graph calls
+random() once per pair.  Both give the same graph bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import random
@@ -36,12 +39,12 @@ from .graph import Graph, check_int, check_number, check_vertex_count
 TREE_SHAPES = ("path", "star", "random")
 
 # Graphs with fewer pairs call random() once a pair.  The word-level sampler
-# pays about 0.2 ms a draw to build and load its MT19937; with CPython 3.11
-# on one Xeon core it ties that loop near 2,000 pairs (n = 65) for p = 0.5,
-# near 4,000 (n = 91) for p = 0.2 and past 6,000 (n = 110) for p = 0.05,
-# where the loop sets fewer bits.  At 4,096 pairs (n = 92) either path is
-# at most 0.3 ms slower.
-WORD_SAMPLER_PAIRS = 1 << 12
+# pays about 35 us a draw to find its threshold and load the Random's state;
+# with CPython 3.11 on one Xeon core it ties that loop near 700 pairs
+# (n = 38) for p = 0.5, near 1,000 (n = 46) for p = 0.2 and near 2,000
+# (n = 65) for p = 0.05, where the loop sets fewer bits.  At 1,024 pairs
+# either path is at most about 0.06 ms slower.
+WORD_SAMPLER_PAIRS = 1 << 10
 
 # Pairs a row block draws at most, unless its 8 rows hold more.  Blocks of
 # 2**12 to 2**16 pairs sample G(n, p) for n = 300..4000 within 5 % of each
@@ -162,37 +165,48 @@ def _word_sampled_rows(n: int, p: float, rng: random.Random) -> tuple[int, ...]:
     together stay near n**2 / 8 bytes.  Temporaries stay near
     20 * BLOCK_PAIRS bytes at any n.
     """
-    from numpy.random import MT19937  # here, so drawing small graphs never imports it
-
     # the count of draws X / 2**53 below p, found by the loop's own comparison:
     # a numpy float32 p, say, compares in float32
     threshold = bisect.bisect_left(range(1 << 53), True, key=lambda x: not math.ldexp(x, -53) < p)
     state = rng.getstate()[1]  # the 624 words of the key, then the position in it
-    source = MT19937(0)  # a fixed seed spares an entropy read; the state is replaced next
-    source.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
-    matrix = np.zeros((n, (n + 7) >> 3), np.uint8)
-    rows: list[int] = []
-    i0 = 0
-    while i0 < n - 1:
-        span = n - i0  # the block's pairs lie in columns i0..n-1, its rows at indices span-b..span-1
-        b = min(span, max(8, BLOCK_PAIRS // (span - 1) // 8 * 8))
-        m = b * (span - 1) - b * (b - 1) // 2
-        words = source.random_raw(2 * m)  # 32-bit words in uint64s, w0 and w1 of each pair in turn
-        draws, w1 = words[0::2], words[1::2]
-        draws >>= 5  # in place: (w0 >> 5) * 2**26 + (w1 >> 6)
-        draws <<= 26
-        w1 >>= 6
-        draws |= w1
-        block = np.less.outer(np.arange(b), np.arange(span))
-        block[block] = draws < threshold
-        matrix[span - b:span, i0 >> 3:] |= np.packbits(block[::-1], axis=1, bitorder="little")
-        matrix[:span, i0 >> 3:(i0 + b + 7) >> 3] |= np.packbits(block[:, ::-1], axis=0, bitorder="little").T
-        rows += [int.from_bytes(row, "little") for row in matrix[span - b:span][::-1]]
-        # refcheck=False: no view of matrix is alive here
-        matrix.resize((span - b, matrix.shape[1]), refcheck=False)
-        i0 += b
-    rows += [int.from_bytes(row, "little") for row in matrix]  # row n - 1, unless the last block took it
-    return tuple(rows)
+    source = _word_source()
+    with source.lock:  # held over every block, so no other draw moves the state between them
+        source.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
+        matrix = np.zeros((n, (n + 7) >> 3), np.uint8)
+        rows: list[int] = []
+        i0 = 0
+        while i0 < n - 1:
+            # the block's pairs lie in columns i0..n-1, its rows at indices span-b..span-1
+            span = n - i0
+            b = min(span, max(8, BLOCK_PAIRS // (span - 1) // 8 * 8))
+            m = b * (span - 1) - b * (b - 1) // 2
+            words = source.random_raw(2 * m)  # 32-bit words in uint64s, w0 and w1 of each pair in turn
+            draws, w1 = words[0::2], words[1::2]
+            draws >>= 5  # in place: (w0 >> 5) * 2**26 + (w1 >> 6)
+            draws <<= 26
+            w1 >>= 6
+            draws |= w1
+            block = np.less.outer(np.arange(b), np.arange(span))
+            block[block] = draws < threshold
+            matrix[span - b:span, i0 >> 3:] |= np.packbits(block[::-1], axis=1, bitorder="little")
+            matrix[:span, i0 >> 3:(i0 + b + 7) >> 3] |= np.packbits(
+                block[:, ::-1], axis=0, bitorder="little").T
+            rows += [int.from_bytes(row, "little") for row in matrix[span - b:span][::-1]]
+            # refcheck=False: no view of matrix is alive here
+            matrix.resize((span - b, matrix.shape[1]), refcheck=False)
+            i0 += b
+        # row n - 1, unless the last block took it
+        rows += [int.from_bytes(row, "little") for row in matrix]
+        return tuple(rows)
+
+
+@functools.cache
+def _word_source():
+    """The numpy MT19937 every large draw loads its state into, built once:
+    seeding it takes about 40 times as long as loading a state."""
+    from numpy.random import MT19937  # here, so drawing small graphs never imports it
+
+    return MT19937(0)  # a fixed seed spares an entropy read; each draw replaces the state
 
 
 def tree_graph(n: int, tree_shape: str = "path", seed: Optional[int] = None) -> Graph:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,10 +171,11 @@ def test_word_sampler_matches_edge_list_sampler_at_n_1000():
 
 
 def test_word_sampler_matches_edge_list_sampler_over_many_blocks(monkeypatch):
-    # 64-pair blocks: most hold the minimum 8 rows, and the tails every width
+    # 64-pair blocks: most hold the minimum 8 rows, and nine n in a row give
+    # the last block every width 1..8, with n = 1 (mod 8) leaving one row over
     monkeypatch.setattr(construct, "BLOCK_PAIRS", 64)
     rng = random.Random(8311)
-    for n in (FIRST_WORD_N, FIRST_WORD_N + 1, 53, 64, 65, 71, 100):
+    for n in (*range(FIRST_WORD_N, FIRST_WORD_N + 9), 100):
         p = rng.random()
         seed = rng.getrandbits(64)
         assert erdos_renyi(n, p, seed) == listcomp_erdos_renyi(n, p, seed), (n, p, seed)
@@ -197,6 +199,16 @@ def test_word_source_yields_the_getrandbits_words(monkeypatch, draws, block_pair
                        (300, 0.05, -7)):
         assert (construct._word_sampled_rows(n, p, _advanced(seed, draws))
                 == getrandbits_word_rows(n, p, _advanced(seed, draws))), (n, p, seed)
+
+
+def test_concurrent_draws_share_the_word_source(monkeypatch):
+    # every large draw loads its state into one MT19937; 64-pair blocks give
+    # another thread many chances to move it between a draw's blocks
+    monkeypatch.setattr(construct, "BLOCK_PAIRS", 64)
+    seeds = range(32)
+    with ThreadPoolExecutor(4) as pool:
+        graphs = list(pool.map(lambda seed: erdos_renyi(200, 0.5, seed), seeds))
+    assert graphs == [listcomp_erdos_renyi(200, 0.5, seed) for seed in seeds]
 
 
 def test_small_draws_leave_numpy_random_unloaded():
