@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import erdos_renyi
-from .graph import MAX_EXACT_N, check_fields, check_int, check_number
+from .graph import MAX_EXACT_N, check_fields, check_int
 from .robustness import edge_lower_bound, robustness_levels
 
 DEFAULT_R_VALUES = (1, 2, 3, 4, 5, 6)
@@ -65,8 +65,12 @@ class ExperimentConfig:
                 )
         check_int(self.samples_per_p, "samples_per_p", 1)
         for p in self.p_values:
-            if not 0.0 < check_number(p, "edge probability") <= 1.0:
-                raise ValueError(f"edge probabilities must lie in (0, 1], got {p!r}")
+            # p's repr is written to records.csv and hashed into every seed: np.float64(0.9)
+            # or Fraction(9, 10) would change both, so only int and float are taken
+            if type(p) not in (int, float) or not 0.0 < p <= 1.0:
+                raise ValueError(f"edge probabilities must be ints or floats in (0, 1], got {p!r}")
+        if len(set(map(repr, self.p_values))) != len(set(self.p_values)):
+            raise ValueError(f"p values list one number two ways, as 1 and 1.0: {self.p_values!r}")
         for offset in self.node_offsets:
             if offset not in NODE_OFFSET_CHOICES:
                 raise ValueError(f"node offsets must be among {NODE_OFFSET_CHOICES}, got {offset!r}")
@@ -136,43 +140,37 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
     a shortfall flag on the summary row rather than looping forever.
 
     Attempts are certified in chunks (see _certified_draws) but consumed in
-    attempt order, so the output is that of one attempt at a time.
+    attempt order, so the output is that of one attempt at a time.  Each
+    summary row is computed from its (r, n) cell's records once the cell ends.
     """
     records: list[ExperimentRecord] = []
     summary: list[SummaryRow] = []
-    offsets = [o for o in NODE_OFFSET_CHOICES if o in config.node_offsets]
+    ps = sorted(set(config.p_values))
     for r in sorted(set(config.r_values)):
-        for offset in offsets:
-            n = 2 * r - 1 if offset == "2r-1" else 2 * r
-            bound = edge_lower_bound(n, r).bound
-            accepted_total = 0
-            min_edges: Optional[int] = None
-            for p in sorted(set(config.p_values)):
+        for n in sorted({2 * r - 1 if offset == "2r-1" else 2 * r for offset in config.node_offsets}):
+            cell_start = len(records)
+            for p in ps:
                 accepted = 0
                 for seed, g, r_max in _certified_draws(config, r, n, p):
-                    ok = r_max == r
-                    edge_count = g.edge_count
                     records.append(
                         ExperimentRecord(
                             r=r, n=n, p=p, seed=seed,
-                            edge_count=edge_count, r_max=r_max, accepted=ok,
+                            edge_count=g.edge_count, r_max=r_max, accepted=r_max == r,
                         )
                     )
-                    if ok:
+                    if r_max == r:
                         accepted += 1
-                        if min_edges is None or edge_count < min_edges:
-                            min_edges = edge_count
                         if accepted == config.samples_per_p:
                             break  # the draws certified past this attempt are discarded
-                accepted_total += accepted
+            edge_counts = [rec.edge_count for rec in records[cell_start:] if rec.accepted]
             summary.append(
                 SummaryRow(
                     r=r,
                     n=n,
-                    min_edges_found=min_edges,
-                    bound=bound,
-                    accepted=accepted_total,
-                    requested=config.samples_per_p * len(set(config.p_values)),
+                    min_edges_found=min(edge_counts, default=None),
+                    bound=edge_lower_bound(n, r).bound,
+                    accepted=len(edge_counts),
+                    requested=config.samples_per_p * len(ps),
                 )
             )
     return records, summary

@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,9 @@ _BAD_CONFIG_FIELDS = [
     dict(p_values=(True,)),
     dict(p_values=("0.9",)),
     dict(p_values=(float("inf"),)),
+    dict(p_values=(np.float64(0.9),)),
+    dict(p_values=(Fraction(9, 10),)),
+    dict(p_values=(1, 1.0)),
     dict(samples_per_p=True),
     dict(max_attempts=True),
     dict(master_seed="x"),
