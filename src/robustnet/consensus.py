@@ -45,26 +45,37 @@ HULL_TOL = 1e-9
 MAX_TRACE_STATES = 501 * MAX_VERTICES
 
 # ---------------------------------------------------------------------------
-# Misbehavior trajectory library (all broadcast the same value to everyone)
+# Misbehavior trajectory library (all broadcast the same value to everyone).
+# Every numeric parameter must be a finite number: a NaN or infinite
+# adversary value would poison the trimmed averages instead of being trimmed.
 # ---------------------------------------------------------------------------
 
+def _parameter(value, name: str):
+    return check_number(value, f"behavior parameter {name!r}")
+
+
 def constant(value: float) -> Behavior:
-    return lambda t: float(value)
+    value = float(_parameter(value, "value"))
+    return lambda t: value
 
 
 def linear_ramp(start: float, slope: float) -> Behavior:
-    return lambda t: float(start) + float(slope) * t
+    start, slope = float(_parameter(start, "start")), float(_parameter(slope, "slope"))
+    return lambda t: start + slope * t
 
 
 def sinusoid(offset: float, amplitude: float, period: float) -> Behavior:
-    if not period > 0:  # NaN too: every value of its wave would be NaN
+    offset, amplitude = float(_parameter(offset, "offset")), float(_parameter(amplitude, "amplitude"))
+    if isinstance(period, Real) and not period > 0:  # NaN too: every value of its wave would be NaN
         raise ValueError(f"sinusoid period must be positive, got {period!r}")
-    return lambda t: float(offset) + float(amplitude) * math.sin(2.0 * math.pi * t / period)
+    _parameter(period, "period")  # what is left to refuse: a non-number, True or +inf
+    return lambda t: offset + amplitude * math.sin(2.0 * math.pi * t / period)
 
 
 def random_walk(start: float, step: float, seed: int) -> Behavior:
     """Seeded +-step walk; the value at t is independent of query order."""
-    values = [float(start)]
+    values = [float(_parameter(start, "start"))]
+    _parameter(step, "step")
     rng = random.Random(check_int(seed, "random-walk seed", None))
 
     def at(t: int) -> float:
@@ -89,9 +100,7 @@ BEHAVIOR_KINDS = tuple(_BEHAVIORS)
 def behavior_from_spec(spec: dict) -> Behavior:
     """Build a trajectory from a JSON-style spec: {"kind": ..., params...}.
 
-    Numeric parameters must be finite numbers: a NaN or infinite adversary
-    value would poison the trimmed averages instead of being trimmed.  A
-    parameter the kind does not take is refused.
+    A parameter the kind does not take is refused; the builder checks the rest.
     """
     kind = check_fields(spec, "behavior spec", ("kind",), spec)["kind"]  # params: per kind below
     if kind not in BEHAVIOR_KINDS:
@@ -99,9 +108,6 @@ def behavior_from_spec(spec: dict) -> Behavior:
     build, required, defaults = _BEHAVIORS[kind]
     params = {**defaults, **check_fields(spec, f"{kind} behavior", ("kind", *required), defaults)}
     del params["kind"]
-    for name, value in params.items():
-        if name != "seed":  # random_walk checks its own seed
-            check_number(value, f"behavior parameter {name!r}")
     return build(**params)
 
 
@@ -134,6 +140,9 @@ class ThreatModel:
             raise ValueError(f"threat behaviors must be a mapping, got {self.behaviors!r}")
         object.__setattr__(self, "malicious",
                            frozenset([check_int(v, "malicious vertex") for v in self.behaviors]))
+        for v, behavior in self.behaviors.items():
+            if not callable(behavior):
+                raise ValueError(f"behavior of malicious vertex {v} must be callable, got {behavior!r}")
         if self.scope == F_TOTAL and len(self.malicious) > self.f:
             raise ValueError(
                 f"F-total violated: {len(self.malicious)} malicious agents exceed F={self.f}"

@@ -172,7 +172,10 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     check_vertex_count(n)
     ends = []
     for pair in edges:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):  # not iterable, or not two items
+            u = v = None
         if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
             raise ValueError(f"edge {pair!r} must be a pair of integers")
         ends += u, v

@@ -191,8 +191,11 @@ def _subset_tables(rows):
     n = 16), so a call only counts each row's neighbors in them.  The
     tables are built transposed, as [low, high], so that the transform
     passes over the low bits run along whole rows; those over the high bits
-    then run in mask order, along 2^k or more entries.
+    then run in mask order, along 2^k or more entries.  This is every
+    certification's gate: n > MAX_EXACT_N is refused before anything is
+    built, the int32 rows included (they would overflow at n >= 32).
     """
+    check_exact_n(len(rows[0]), "exact certification")
     rows = np.array(rows, dtype=np.int32)[:, :, None]
     graphs, n = rows.shape[:2]
     k = min(n, _LOW_BITS)
@@ -218,8 +221,8 @@ def _subset_tables(rows):
     return reach, best, pair
 
 
-def _violating_pair(reach, best, pair, t: int):
-    """First (S1, S2) mask pair, in the canonical order, with both reaches <= t.
+def _violating_pair(reach, best, pair, t: int) -> Optional[WitnessPair]:
+    """First (S1, S2) pair, in the canonical order, with both reaches <= t.
 
     The order is S1 ascending, then S2 ascending over the submasks of
     allowed(S1), the complement of S1 above its lowest bit.  S1 qualifies
@@ -227,7 +230,7 @@ def _violating_pair(reach, best, pair, t: int):
     in the complement, pair[S1] <= t screens candidates first, a block of
     masks at a time.  S2 is then the first submask of allowed(S1) with
     reach <= t, which best[allowed(S1)] <= t guarantees to exist.  Returns
-    None when no pair exists.
+    the pair as two frozensets of vertices, or None when no pair exists.
     """
     full = reach.size - 1
     reach, best = memoryview(reach), memoryview(best)
@@ -240,15 +243,8 @@ def _violating_pair(reach, best, pair, t: int):
                 while True:
                     s2 = (s2 - allowed) & allowed  # next submask, ascending
                     if reach[s2] <= t:
-                        return s1, s2
+                        return frozenset(bits(s1)), frozenset(bits(s2))
     return None
-
-
-def _masks_to_witness(pair) -> Optional[WitnessPair]:
-    if pair is None:
-        return None
-    m1, m2 = pair
-    return frozenset(bits(m1)), frozenset(bits(m2))
 
 
 def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
@@ -260,11 +256,10 @@ def is_r_robust(g: Graph, r: int) -> tuple[bool, Optional[WitnessPair]]:
     """
     if check_int(r, "robustness level") == 0:
         return True, None
-    check_exact_n(g.n, "exact certification")
     reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
     # reach never exceeds n - 1, so clamping keeps the int8 comparison exact
-    masks = _violating_pair(reach, best, pair, min(r - 1, g.n))
-    return masks is None, _masks_to_witness(masks)
+    witness = _violating_pair(reach, best, pair, min(r - 1, g.n))
+    return witness is None, witness
 
 
 def max_robustness(g: Graph) -> RobustnessCertificate:
@@ -275,14 +270,13 @@ def max_robustness(g: Graph) -> RobustnessCertificate:
     enumeration order that attains it, which is the pair is_r_robust reports
     at level r_max + 1, so certificates are reproducible.
     """
-    check_exact_n(g.n, "exact certification")
     reach, best, pair = (table[0] for table in _subset_tables([g.rows]))
     # The ceil(n/2) ceiling binds only at n = 1, where no disjoint nonempty
     # pair exists and every pair entry is _NONE.
     r_max = min(int(pair.min()), (g.n + 1) // 2)
     return RobustnessCertificate(
         r_max=r_max,
-        witness=_masks_to_witness(_violating_pair(reach, best, pair, r_max)),
+        witness=_violating_pair(reach, best, pair, r_max),
         pairs_examined=reach.size - 2,
     )
 
@@ -301,7 +295,6 @@ def robustness_levels(graphs) -> list[int]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("robustness_levels needs graphs with one vertex count")
-    check_exact_n(n, "exact certification")
     step = max(1, _SLICE >> n)
     levels = []
     for start in range(0, len(graphs), step):

@@ -71,6 +71,31 @@ def test_behavior_library():
             sinusoid(0.0, 1.0, period)
 
 
+# each builder with valid arguments, keyed by parameter name
+_BUILDERS = {
+    constant: {"value": 1.0},
+    linear_ramp: {"start": 0.0, "slope": 1.0},
+    sinusoid: {"offset": 0.0, "amplitude": 1.0, "period": 20.0},
+    random_walk: {"start": 0.0, "step": 1.0, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS, ids=[build.__name__ for build in _BUILDERS])
+def test_builders_refuse_a_parameter_that_is_not_a_finite_number(build):
+    # the rule holds from Python as from JSON: constant("150") is refused like {"value": "150"}
+    params = _BUILDERS[build]
+    build(**params)
+    for name in params.keys() - {"seed"}:
+        # a period not above 0, NaN and -inf included, gets sinusoid's own message
+        bads = ("20", True, math.inf) if name == "period" else ("150", True, math.nan, math.inf, -math.inf)
+        for bad in bads:
+            with pytest.raises(ValueError, match=f"behavior parameter '{name}' must be a finite number"):
+                build(**{**params, name: bad})
+    if build is sinusoid:
+        with pytest.raises(ValueError, match="sinusoid period must be positive"):
+            sinusoid(0.0, 1.0, -math.inf)
+
+
 def test_random_walk_is_order_independent():
     walk = random_walk(0.0, 1.0, seed=5)
     late = walk(7)
@@ -318,6 +343,7 @@ _BAD_THREATS = [
     *[(dict(behaviors={bad: constant(1.0)}), dict(malicious=[bad])) for bad in (True, False, "a", 1.0, -1)],
     (None, dict(malicious=5)),  # not an array of vertices
     (dict(behaviors=[0]), dict(behaviors=[0])),  # not a map of behaviors
+    (dict(behaviors={0: 5.0}), dict(behavior=5.0)),  # not a trajectory
 ]
 
 
@@ -474,7 +500,7 @@ def test_simulate_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite value inf at t=2"):
         simulate(g, overflow, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="vertex 0 gave non-finite value nan"):
-        simulate(g, constant_threat("F-total", 1, {0: math.nan}), [0.0, 1.0, 2.0])
+        simulate(g, ThreatModel("F-total", 1, {0: lambda t: math.nan}), [0.0, 1.0, 2.0])
 
 
 def test_state_vectors_must_hold_real_numbers():

@@ -129,6 +129,11 @@ def test_new_graph_reports_the_first_faulty_edge():
         new_graph(3, [(4, 4)])
     with pytest.raises(ValueError, match=r"^edge \(0, '1'\) must be a pair of integers$"):
         new_graph(3, [(1, 1), (0, "1")])
+    # an edge that is not a pair at all is refused by the same rule
+    with pytest.raises(ValueError, match=r"^edge 5 must be a pair of integers$"):
+        new_graph(3, [(1, 1), 5])
+    with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) must be a pair of integers$"):
+        new_graph(3, [(1, 1), (0, 1, 2)])
 
 
 def test_check_int_accepts_only_ints_in_range():
