@@ -24,6 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -122,9 +123,10 @@ def _vertex_set(vertices) -> frozenset[int]:
 @dataclass(frozen=True)
 class ThreatModel:
     """Adversary scope and budget, and the trajectory of each malicious vertex:
-    the malicious set is the key set of behaviors.  Everything that does not
-    depend on a graph is checked when the threat is made; :meth:`validate`
-    checks the rest against a graph.
+    the malicious set is the key set of behaviors, which is kept as a
+    read-only copy, so a later change to the caller's mapping cannot slip
+    past the checks.  Everything that does not depend on a graph is checked
+    when the threat is made; :meth:`validate` checks the rest against a graph.
     """
 
     scope: str
@@ -138,6 +140,7 @@ class ThreatModel:
         check_int(self.f, "threat budget F")
         if not isinstance(self.behaviors, Mapping):
             raise ValueError(f"threat behaviors must be a mapping, got {self.behaviors!r}")
+        object.__setattr__(self, "behaviors", MappingProxyType(dict(self.behaviors)))
         object.__setattr__(self, "malicious",
                            frozenset([check_int(v, "malicious vertex") for v in self.behaviors]))
         for v, behavior in self.behaviors.items():

@@ -20,7 +20,11 @@ certifies many graphs with one pass of the same kernel.  The half of the
 reach build that does not depend on the graph (each mask part's
 complements and the -32 term of non-members) is made on first use of each
 n and cached read-only: about 42 KB at n = 16, 0.8 MB at n = 20 and
-1.5 MB if every n up to MAX_EXACT_N is used.
+1.5 MB if every n up to MAX_EXACT_N is used.  The rest is added up a
+chunk of vertices at a time, at most _CHUNK entries a chunk or one vertex:
+a single graph takes one chunk through n = 15, two at n = 16 and one
+vertex a chunk from n = 19.  A certification peaks at about 0.66 MiB at
+n = 16 and 3.6 MiB at n = 20.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ MIN_DEGREE = "min-degree"
 
 _NONE = np.int8(127)  # table entry of the empty mask, above every reach
 _LOW_BITS = 5  # mask bits whose transform passes run on the transposed table
-_CHUNK = 1 << 17  # entries in one vertex chunk of the reach build
+# entries in one vertex chunk of the reach build: the largest power of two
+# that keeps an n = 16 certification within 16 bytes per subset (1 MiB)
+_CHUNK = 1 << 19
 _BLOCK = 1 << 12  # S1 masks screened per round of the witness search
 _SLICE = 1 << 20  # table entries (B * 2^n) in one robustness_levels slice
 
@@ -188,12 +194,16 @@ def _subset_tables(rows):
     its own part, which keeps it below every member.  The complements and
     the -32 terms do not depend on the graph: _reach_terms makes them
     read-only on the first call for each n and keeps them (about 42 KB at
-    n = 16), so a call only counts each row's neighbors in them.  The
-    tables are built transposed, as [low, high], so that the transform
-    passes over the low bits run along whole rows; those over the high bits
-    then run in mask order, along 2^k or more entries.  This is every
-    certification's gate: n > MAX_EXACT_N is refused before anything is
-    built, the int32 rows included (they would overflow at n >= 32).
+    n = 16), so a call only counts each row's neighbors in them.  The outer
+    sums are made for a chunk of vertices at a time, at most _CHUNK entries
+    or one vertex, and each chunk's maximum is folded into reach before the
+    next is made; every maximum is exact, so the chunking moves memory and
+    never output.  The tables are built transposed, as [low, high], so that
+    the transform passes over the low bits run along whole rows; those over
+    the high bits then run in mask order, along 2^k or more entries.  This
+    is every certification's gate: n > MAX_EXACT_N is refused before
+    anything is built, the int32 rows included (they would overflow at
+    n >= 32).
     """
     check_exact_n(len(rows[0]), "exact certification")
     rows = np.array(rows, dtype=np.int32)[:, :, None]
@@ -203,11 +213,13 @@ def _subset_tables(rows):
     low, high = (np.bitwise_count(rows & outside).view(np.int8) + penalty
                  for outside, penalty in _reach_terms(n))
     step = max(1, _CHUNK // (graphs << n))
-    chunks = ((low[:, s:s + step, :, None] + high[:, s:s + step, None, :]).max(axis=1)
-              for s in range(0, n, step))
-    reach = next(chunks)
-    for chunk in chunks:
-        np.maximum(reach, chunk, out=reach)
+
+    def chunk(s):
+        return (low[:, s:s + step, :, None] + high[:, s:s + step, None, :]).max(axis=1)
+
+    reach = chunk(0)
+    for s in range(step, n, step):
+        np.maximum(reach, chunk(s), out=reach)
     reach[:, 0, 0] = _NONE
     best = reach.copy()
     _min_zeta(best.reshape(graphs, -1), range(n - k, n))

@@ -376,6 +376,23 @@ def test_threat_malicious_set_is_its_behaviors_keys():
         dataclasses.replace(threat, malicious=frozenset({0}))
 
 
+def test_threat_keeps_its_own_behaviors():
+    # a later change to the caller's dict must not reach the checked threat
+    d = {0: constant(5.0)}
+    t = ThreatModel("F-total", 1, d)
+    d[1] = constant(9.0)
+    d[2] = 5.0
+    assert dict(t.behaviors).keys() == {0} and t.malicious == {0}
+    with pytest.raises(TypeError):
+        t.behaviors[1] = constant(9.0)
+    # replace, equality and the JSON reader see the same behaviours as before
+    assert dataclasses.replace(t) == t == ThreatModel("F-total", 1, {0: t.behaviors[0]})
+    assert dataclasses.replace(t, f=2).behaviors == t.behaviors
+    parsed = ThreatModel.from_json_dict({"scope": "F-total", "F": 1, "malicious": [0],
+                                         "behavior": {"kind": "constant", "value": 5.0}})
+    assert parsed.malicious == {0} and parsed.behaviors[0](3) == 5.0
+
+
 def test_threat_from_json():
     data = {
         "scope": "F-local",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustnet.robustness
 from robustnet import (
     check_structural_lemmas,
     edge_lower_bound,
@@ -20,8 +21,8 @@ from robustnet import (
     tree_graph,
 )
 from robustnet.graph import MAX_EXACT_N, bits
-from robustnet.robustness import (EVEN_CASE, GENERAL_COROLLARY, MIN_DEGREE, ODD_CASE, _NONE,
-                                  RobustnessCertificate, _reach_terms, _subset_tables)
+from robustnet.robustness import (_CHUNK, EVEN_CASE, GENERAL_COROLLARY, MIN_DEGREE, ODD_CASE,
+                                  _NONE, RobustnessCertificate, _reach_terms, _subset_tables)
 
 from oracles import (
     complete_graph,
@@ -338,6 +339,32 @@ def test_certifier_memory_stays_within_16_bytes_per_subset():
         current, peak = _traced_memory(run)
         assert peak <= 1 << 20
         assert current < 1 << 16  # no subset table outlives the call
+
+
+def test_reach_build_holds_one_chunk_at_a_time():
+    # one chunk of at most _CHUNK entries (one vertex's 2^n when that is more)
+    # besides at most three tables' worth of 2^n entries (reach, the chunk's
+    # maximum and the per-vertex terms): a one-shot build at n = 16, two
+    # vertices a chunk at n = 20 or a chunk held past its fold go over
+    for g in (sparsest_even(8), erdos_renyi(MAX_EXACT_N, 0.8, 1)):
+        size = 1 << g.n
+        _subset_tables([g.rows])  # first calls may fill interpreter caches
+        peak = _traced_memory(lambda: _subset_tables([g.rows]))[1]
+        assert peak <= max(_CHUNK, size) + 3 * size
+
+
+def test_chunking_moves_memory_never_output(monkeypatch):
+    # one vertex a chunk against the default's one to nine chunks a build
+    rng = random.Random(1618)
+    for n in (16, 17, 18):
+        graphs = [random_graph(rng, n, p) for p in (0.3, 0.6, 0.9)]
+        for stack in ([graphs[1].rows], [g.rows for g in graphs]):
+            default = _subset_tables(stack)
+            with monkeypatch.context() as m:
+                m.setattr(robustnet.robustness, "_CHUNK", 1)
+                single = _subset_tables(stack)
+            for table, expected in zip(default, single):
+                assert table.tobytes() == expected.tobytes()
 
 
 def test_robustness_levels_memory_does_not_grow_with_the_stack():
