@@ -397,9 +397,11 @@ def check_validity(trace: SimulationTrace) -> Verdict:
     """
     idx = sorted(trace.normal)
     lo, hi = trace.safety_interval
-    sub = trace.states[:, idx]
-    validity = bool((sub >= lo - HULL_TOL).all() and (sub <= hi + HULL_TOL).all())
-    final = float(sub[-1].max() - sub[-1].min())
+    # judged by each column's extremes, so no normal column of the trace is copied
+    low, high, last = (row[idx] for row in (trace.states.min(axis=0), trace.states.max(axis=0),
+                                            trace.states[-1]))
+    validity = bool((low >= lo - HULL_TOL).all() and (high <= hi + HULL_TOL).all())
+    final = float(last.max() - last.min())
     return Verdict(
         agreement=trace.converged_at is not None,
         validity=validity,

@@ -118,8 +118,8 @@ def _certified_draws(config: ExperimentConfig, r: int, n: int, p: float):
 
     The draws are certified in chunks by one robustness_levels call each:
     first samples_per_p attempts, then twice the previous chunk, each capped
-    by the attempts left.  robustness_levels slices each chunk to bound its
-    own memory.
+    by the attempts left.  robustness_levels slices each chunk by the
+    certifier's table budget, so memory does not grow with the chunk.
     """
     attempt = 0
     chunk = config.samples_per_p

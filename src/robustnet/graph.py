@@ -25,8 +25,8 @@ import numpy as np
 MAX_VERTICES = 1 << 14
 
 # The only limit of the exact searches over all 2^n vertex subsets (the
-# certifier, densest_subset_of_size and max_clique): the tables of the first
-# two hold 2^20 subsets at about 6 B each, roughly 6 MB.
+# certifier, densest_subset_of_size and max_clique): over the 2^20 subsets of
+# n = 20 the first two peak at 3.6 and 5.0 MiB under tracemalloc.
 MAX_EXACT_N = 20
 
 _FLOAT_MAX = sys.float_info.max

@@ -16,15 +16,15 @@ and the graph is r-robust exactly when no S1 has both values below r.
 Both questions are answered from the same tables; the witness is read
 from them in the canonical order described at _violating_pair.  The tables
 are built for a stack of graphs on one n at a time, so robustness_levels
-certifies many graphs with one pass of the same kernel.  The half of the
-reach build that does not depend on the graph (each mask part's
-complements and the -32 term of non-members) is made on first use of each
-n and cached read-only: about 42 KB at n = 16, 0.8 MB at n = 20 and
-1.5 MB if every n up to MAX_EXACT_N is used.  The rest is added up a
-chunk of vertices at a time, at most _CHUNK entries a chunk or one vertex:
-a single graph takes one chunk through n = 15, two at n = 16 and one
-vertex a chunk from n = 19.  A certification peaks at about 0.66 MiB at
-n = 16 and 3.6 MiB at n = 20.
+certifies many graphs with one pass of the same kernel per slice of at
+most _CHUNK entries or one graph.  The half of the reach build that does
+not depend on the graph (each mask part's complements and the -32 term of
+non-members) is made on first use of each n and cached read-only: about
+42 KB at n = 16, 0.8 MB at n = 20 and 1.5 MB for all n to MAX_EXACT_N.  The
+rest is added up at most _CHUNK entries or one vertex at a time: a single
+graph takes one chunk through n = 15, two at n = 16 and one vertex a
+chunk from n = 19.  A certification peaks at about 0.66 MiB at n = 16 and
+3.6 MiB at n = 20.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ MIN_DEGREE = "min-degree"
 
 _NONE = np.int8(127)  # table entry of the empty mask, above every reach
 _LOW_BITS = 5  # mask bits whose transform passes run on the transposed table
-# entries in one vertex chunk of the reach build: the largest power of two
-# that keeps an n = 16 certification within 16 bytes per subset (1 MiB)
+# table entries in a reach-build chunk and a robustness_levels slice: the largest
+# power of two keeping an n = 16 certification within 16 bytes per subset (1 MiB)
 _CHUNK = 1 << 19
 _BLOCK = 1 << 12  # S1 masks screened per round of the witness search
-_SLICE = 1 << 20  # table entries (B * 2^n) in one robustness_levels slice
 
 WitnessPair = tuple[frozenset[int], frozenset[int]]
 
@@ -241,8 +240,8 @@ def _violating_pair(reach, best, pair, t: int) -> Optional[WitnessPair]:
     when reach[S1] <= t and best[allowed(S1)] <= t; since allowed(S1) lies
     in the complement, pair[S1] <= t screens candidates first, a block of
     masks at a time.  S2 is then the first submask of allowed(S1) with
-    reach <= t, which best[allowed(S1)] <= t guarantees to exist.  Returns
-    the pair as two frozensets of vertices, or None when no pair exists.
+    reach <= t, which best[allowed(S1)] <= t promises (else RuntimeError).
+    Returns the pair as two frozensets of vertices, or None if none exists.
     """
     full = reach.size - 1
     reach, best = memoryview(reach), memoryview(best)
@@ -252,10 +251,11 @@ def _violating_pair(reach, best, pair, t: int) -> Optional[WitnessPair]:
             allowed = (full ^ s1) & -((s1 & -s1) << 1)
             if best[allowed] <= t:
                 s2 = 0
-                while True:
+                while s2 != allowed:
                     s2 = (s2 - allowed) & allowed  # next submask, ascending
                     if reach[s2] <= t:
                         return frozenset(bits(s1)), frozenset(bits(s2))
+                raise RuntimeError(f"no partner S2 for S1 = {sorted(bits(s1))}")
     return None
 
 
@@ -299,15 +299,15 @@ def robustness_levels(graphs) -> list[int]:
     Equals [max_robustness(g).r_max for g in graphs], with the same
     single-vertex convention and capability limit, but certifies the stack
     with one pass of the subset-table kernel per slice of B graphs, where
-    B * 2^n <= _SLICE entries (one certification at n = 20), or B = 1 past
-    n = 20: memory does not grow with the stack, however many graphs are given.
+    B * 2^n <= _CHUNK entries, or B = 1 at n = 20: memory does not grow
+    with the stack, however many graphs are given.
     """
     if not graphs:
         return []
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("robustness_levels needs graphs with one vertex count")
-    step = max(1, _SLICE >> n)
+    step = max(1, _CHUNK >> n)
     levels = []
     for start in range(0, len(graphs), step):
         rows = [g.rows for g in graphs[start:start + step]]

@@ -30,7 +30,7 @@ from robustnet import (
     trace_to_csv_text,
     write_trace,
 )
-from robustnet.consensus import BEHAVIOR_KINDS, _neighbor_table
+from robustnet.consensus import BEHAVIOR_KINDS, HULL_TOL, _neighbor_table
 
 from oracles import (
     complete_graph,
@@ -736,6 +736,50 @@ def test_check_validity_flags_hull_escape():
     assert not verdict.validity
     assert verdict.final_disagreement == 10.0
     assert list(dataclasses.asdict(verdict)) == ["agreement", "validity", "final_disagreement"]
+
+
+def _copied_verdict(trace):
+    # the verdict read from a copy of the trace's normal columns
+    sub = trace.states[:, sorted(trace.normal)]
+    lo, hi = trace.safety_interval
+    return ((sub >= lo - HULL_TOL).all() and (sub <= hi + HULL_TOL).all(), sub[-1].max() - sub[-1].min())
+
+
+def test_check_validity_matches_the_copied_columns():
+    rng = np.random.default_rng(7)
+    for steps, n in ((1, 1), (3, 2), (12, 9), (40, 33)):
+        states = rng.uniform(-1.0, 1.0, (steps, n))
+        malicious = frozenset(rng.choice(n, n // 3, replace=False).tolist())
+        for row, col, value in ((0, 0, 0.0), (steps - 1, n - 1, 1.0 + HULL_TOL), (steps // 2, 0, math.nan),
+                                (steps - 1, 0, -1.0 - HULL_TOL / 2), (0, n - 1, 5.0)):
+            states[row, col] = value
+            trace = SimulationTrace(states=states.copy(), malicious=malicious, converged_at=None)
+            verdict = check_validity(trace)
+            validity, final = _copied_verdict(trace)
+            assert verdict.validity == validity
+            assert np.float64(verdict.final_disagreement).tobytes() == np.float64(final).tobytes()
+    # a NaN in a normal column fails validity; one in a malicious column does not count
+    states = np.zeros((3, 3))
+    states[1, 0] = math.nan
+    assert not check_validity(SimulationTrace(states, frozenset(), None)).validity
+    assert check_validity(SimulationTrace(states, frozenset({0}), None)).validity
+
+
+def test_check_validity_reads_the_trace_in_place():
+    n = 8192
+    states = np.random.default_rng(3).uniform(0.0, 1.0, (201, n))  # 12.6 MiB
+    trace = SimulationTrace(states=states, malicious=frozenset({0, 77, 4000}), converged_at=None)
+    check_validity(trace)  # first calls may fill interpreter caches
+    tracemalloc.start()
+    try:
+        verdict = check_validity(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.validity, verdict.final_disagreement) == _copied_verdict(trace)
+    # the normal set as Python ints takes about 160 B a vertex, and the column
+    # extremes 8 B each; a copy of the normal columns would take 1,608 B a vertex
+    assert peak <= 256 * n
 
 
 def test_trace_normal_is_every_vertex_not_malicious():

@@ -25,7 +25,7 @@ from robustnet import (
     summary_to_csv_text,
 )
 from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
-from robustnet.robustness import _subset_tables
+from robustnet.robustness import _CHUNK, _subset_tables
 
 from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment
 
@@ -258,7 +258,7 @@ def test_default_sweep_goldens():
 
 def test_slices_stay_within_one_certification_at_n_20(monkeypatch):
     # chunks double, capped only by the attempts left; robustness_levels then
-    # slices each chunk to at most 2^20 table entries, one certification at n = 20
+    # slices each chunk to at most _CHUNK table entries, or one graph at n = 20
     chunks, slices = [], []
 
     def chunk_spy(graphs):
@@ -276,14 +276,14 @@ def test_slices_stay_within_one_certification_at_n_20(monkeypatch):
     records, _ = run_experiment(config)
     assert len(records) == 700  # p = 0.1 never gives a 6-robust graph
     assert chunks == [(300, 12), (400, 12)]
-    assert slices == [(256, 12), (44, 12), (256, 12), (144, 12)]
+    assert slices == [(128, 12), (128, 12), (44, 12), (128, 12), (128, 12), (128, 12), (16, 12)]
     chunks.clear()
     slices.clear()
     run_experiment(ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=("2r-1",),
                                     samples_per_p=10, master_seed=0, max_attempts=3))
     assert chunks == [(3, 19)]
-    assert slices == [(2, 19), (1, 19)]
-    assert all(size << n <= 1 << 20 for size, n in slices)
+    assert slices == [(1, 19)] * 3
+    assert all(size << n <= _CHUNK for size, n in slices)
 
 
 def _peak_bytes(run):
@@ -297,9 +297,9 @@ def _peak_bytes(run):
 
 
 def test_sweep_memory_at_the_limit_is_one_certification():
-    # robustness_levels slices to 2^20 table entries, one certification at n = 20
+    # robustness_levels slices to _CHUNK table entries, or one graph at n = 20
     single = _peak_bytes(lambda: max_robustness(erdos_renyi(20, 0.8, 1)))
-    for offset in ("2r", "2r-1"):  # one graph at n = 20, two at n = 19
+    for offset in ("2r", "2r-1"):  # one graph a slice at n = 20 and at n = 19
         config = ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=(offset,),
                                   samples_per_p=10, master_seed=0, max_attempts=3)
         # the slack covers the cell's graphs and records; one more table

@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from robustnet import (
 )
 from robustnet.graph import MAX_EXACT_N, bits
 from robustnet.robustness import (_CHUNK, EVEN_CASE, GENERAL_COROLLARY, MIN_DEGREE, ODD_CASE,
-                                  _NONE, RobustnessCertificate, _reach_terms, _subset_tables)
+                                  _NONE, RobustnessCertificate, _reach_terms, _subset_tables,
+                                  _violating_pair)
 
 from oracles import (
     complete_graph,
@@ -201,6 +203,15 @@ def test_capability_limit():
         max_robustness(big)
 
 
+def test_witness_walk_ends_after_the_last_submask():
+    # best promises S1 = {0} a partner with reach 0 that reach does not hold:
+    # the walk tries {1}, {2} and {1, 2}, then raises instead of wrapping round
+    reach, best, pair = (np.array(table, dtype=np.int8) for table in
+                         ([127, 0, 2, 2, 2, 2, 2, 2], [127] + [0] * 7, [0] * 8))
+    with pytest.raises(RuntimeError, match=r"S1 = \[0\]"):
+        _violating_pair(reach, best, pair, 0)
+
+
 def _assert_matches_scan(g):
     cert = max_robustness(g)
     assert (cert.r_max, cert.witness) == scan_max_robustness(g)
@@ -257,6 +268,20 @@ def test_robustness_levels_match_certificates_on_extremal_graphs():
             levels = _assert_levels_match(graphs)
             assert levels == [scan_max_robustness(h)[0] for h in graphs]
             assert levels[0] == r
+
+
+def test_slicing_moves_memory_never_output(monkeypatch):
+    # the default takes each stack in one slice; 1 << 14 entries give 32 to 2
+    # graphs a slice at n = 9..13, and 1 gives one graph a slice and one vertex a chunk
+    rng = random.Random(1913)
+    for n in range(9, 14):
+        graphs = [random_graph(rng, n, rng.random()) for _ in range(53)]
+        default = robustness_levels(graphs)
+        assert default == [max_robustness(g).r_max for g in graphs]
+        for budget in (1 << 14, 1):
+            with monkeypatch.context() as m:
+                m.setattr(robustnet.robustness, "_CHUNK", budget)
+                assert robustness_levels(graphs) == default
 
 
 def test_robustness_levels_input_rules():
