@@ -17,10 +17,11 @@ different values are deliberately out of scope.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -195,7 +196,7 @@ class SimulationTrace:
     malicious: frozenset[int]
     converged_at: Optional[int]  # the first step whose normal states agreed within tol, or None
 
-    @property
+    @functools.cached_property  # made once: the column count and malicious never change
     def normal(self) -> frozenset[int]:
         return frozenset(range(self.states.shape[1])) - self.malicious
 
@@ -227,7 +228,7 @@ def _as_state_vector(g: Graph, states) -> np.ndarray:
     check_number applies to every other numeric input: an ndarray by its
     dtype, any other iterable, read once into a list, by the types of its
     entries (a string or a bool would otherwise be parsed as a number).
-    Anything that is not iterable, a lone number or None, is refused too.
+    Anything not iterable (a lone number or None), a mapping or a set is refused.
     """
     if isinstance(states, np.ndarray):
         kinds = [states.dtype.type]
@@ -235,7 +236,9 @@ def _as_state_vector(g: Graph, states) -> np.ndarray:
         try:
             items = iter(states)
         except TypeError:  # a lone number or None
-            raise ValueError(f"agent states must be numbers in a sequence, got {states!r}") from None
+            items = None
+        if items is None or isinstance(states, (Mapping, Set)):  # keys or hash order: not the agents'
+            raise ValueError(f"agent states must be numbers in a sequence, got {states!r}")
         states = list(items)  # the type pass would spend a generator, and np.asarray cannot read a dict view
         kinds = dict.fromkeys(map(type, states))
     for kind in kinds:

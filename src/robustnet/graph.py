@@ -4,7 +4,8 @@ Vertices are the integers 0..n-1.  Row i is an integer whose bit j is set
 iff (i, j) is an edge.  This keeps adjacency queries O(1) and lets the
 subset-heavy callers (clique search, robustness certification) manipulate
 whole vertex sets with single bitwise operations.  Vertex subsets cross the
-public API as plain frozensets; masks stay internal.
+public API as frozensets or iterables of ints; beyond a Graph's own rows, no
+mask leaves the graph code.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -145,14 +142,6 @@ class Graph:
         rows[v] &= ~(1 << u)
         return Graph(tuple(rows))
 
-    def subset_mask(self, members: Iterable[int]) -> int:
-        """Validated bitmask for a vertex subset."""
-        mask = 0
-        for v in members:
-            self._check_vertex(v)
-            mask |= 1 << v
-        return mask
-
     def _check_vertex(self, v: int) -> None:
         check_int(v, "vertex", 0, self.n - 1)
 
@@ -170,6 +159,8 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     Every pair must hold two ints before the edge rule checks any of them.
     """
     check_vertex_count(n)
+    if not isinstance(edges, Iterable):  # a lone number or None
+        raise ValueError(f"edges must be pairs of integers, got {edges!r}")
     ends = []
     for pair in edges:
         try:
@@ -219,7 +210,7 @@ def max_clique(g: Graph) -> frozenset[int]:
             v = low.bit_length() - 1
             grow(chosen + [v], cand & rows[v])
 
-    grow([], g.full_mask)
+    grow([], (1 << g.n) - 1)
     return frozenset(best)
 
 

@@ -141,7 +141,9 @@ def reachability(g: Graph, members) -> int:
     Equals the maximum, over the subset's members, of the number of their
     neighbors outside the subset.  The empty set is rejected.
     """
-    mask = g.subset_mask(members)
+    mask = 0
+    for v in members:
+        mask |= 1 << check_int(v, "vertex", 0, g.n - 1)
     if mask == 0:
         raise ValueError("reachability of the empty set is undefined")
     return max((g.rows[v] & ~mask).bit_count() for v in bits(mask))

@@ -40,11 +40,15 @@ edge_list_texts draws the texts it is compared on.
 
 DEFAULT_SWEEP_SHA256 is the sha256 of each CSV of the default
 ExperimentConfig() sweep, which every sweep path must reproduce.
+
+traced_memory is the memory tests' one probe: the (current, peak) bytes
+tracemalloc traces over one call.
 """
 
 import bisect
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -131,7 +135,7 @@ def _level_scan(g, r, memo):
     if r <= 0:
         return True, None, 0
     rows = g.rows
-    full = g.full_mask
+    full = (1 << g.n) - 1
     pairs = 0
     for m1 in range(1, full + 1):
         r1 = memo[m1]
@@ -476,3 +480,13 @@ def edge_list_texts(draw):
     if draw(st.booleans()):
         ends[-1] = ""  # no final line break
     return "".join(text + end for text, end in zip(lines, ends))
+
+
+def traced_memory(run):
+    """(current, peak) bytes traced while run() runs, as tracemalloc reports them at its end."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

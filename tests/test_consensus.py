@@ -3,8 +3,8 @@ import hashlib
 import math
 import random
 import re
-import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from oracles import (
     path_graph,
     random_graph,
     small_graphs,
+    traced_memory,
 )
 
 
@@ -551,6 +552,17 @@ def test_states_that_are_not_iterable_raise_value_error():
             simulate(g, threat, bad)
 
 
+def test_states_in_a_mapping_or_a_set_are_refused():
+    # a dict iterates over its keys and a set in hash order: neither is the agents' order
+    g, threat = sparsest_odd(2), ThreatModel("F-total", 0, {})
+    states = {0: 50.0, 1: -20.0, 2: 7.0}
+    for bad in (states, states.keys(), states.items(), MappingProxyType(states),
+                {50.0, -20.0, 7.0}, frozenset({50.0, -20.0, 7.0})):
+        with pytest.raises(ValueError, match="agent states must be numbers in a sequence"):
+            simulate(g, threat, bad)
+    assert simulate(g, threat, states.values()).states[0].tolist() == [50.0, -20.0, 7.0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_simulate_rejects_update_overflow():
     # every state is finite, but the sum of the neighbors' values is not
@@ -562,24 +574,16 @@ def test_simulate_memory_is_linear_in_edges():
     n = 8192
     ring = new_graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
     initial = [float(i % 7) for i in range(n)]
-    tracemalloc.start()
-    try:
-        trace = simulate(ring, no_threat(1), initial, max_steps=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trace.states.shape == (11, n)
+    traces = []
+    peak = traced_memory(lambda: traces.append(simulate(ring, no_threat(1), initial, max_steps=10)))[1]
+    assert traces[0].states.shape == (11, n)
     assert peak < 8 << 20  # an n x n bool array alone would take 64 MiB
 
 
 def test_neighbor_table_of_an_edgeless_graph_is_small():
     updating = list(range(MAX_VERTICES))
-    tracemalloc.start()
-    try:
-        table = _neighbor_table(new_graph(MAX_VERTICES), updating)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table = []
+    peak = traced_memory(lambda: table.extend(_neighbor_table(new_graph(MAX_VERTICES), updating)))[1]
     assert sorted(v for block, _, _ in table for v in block.tolist()) == updating
     assert all(idx.shape == (len(block), 0) for block, idx, _ in table)
     assert peak <= 2 << 20  # unpacking whole rows takes (128, n) bytes a block: 4.8 MiB
@@ -608,12 +612,10 @@ def ring_lattice(n):
 ])
 def test_simulate_holds_each_step_once(n, initial, max_steps, tol, steps):
     ring = ring_lattice(n)
-    tracemalloc.start()
-    try:
-        trace = simulate(ring, no_threat(), initial, max_steps=max_steps, tol=tol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traces = []
+    peak = traced_memory(
+        lambda: traces.append(simulate(ring, no_threat(), initial, max_steps=max_steps, tol=tol)))[1]
+    trace = traces[0]
     assert trace.states.shape == (steps + 1, n)
     assert trace.converged_at == (None if steps == max_steps else steps)
     assert trace.states.flags.c_contiguous and trace.states.base is None
@@ -770,15 +772,12 @@ def test_check_validity_reads_the_trace_in_place():
     states = np.random.default_rng(3).uniform(0.0, 1.0, (201, n))  # 12.6 MiB
     trace = SimulationTrace(states=states, malicious=frozenset({0, 77, 4000}), converged_at=None)
     check_validity(trace)  # first calls may fill interpreter caches
-    tracemalloc.start()
-    try:
-        verdict = check_validity(trace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verdicts = []
+    peak = traced_memory(lambda: verdicts.append(check_validity(trace)))[1]
+    verdict = verdicts[0]
     assert (verdict.validity, verdict.final_disagreement) == _copied_verdict(trace)
-    # the normal set as Python ints takes about 160 B a vertex, and the column
-    # extremes 8 B each; a copy of the normal columns would take 1,608 B a vertex
+    # the first call made the normal set (about 140 B a vertex as Python ints); the
+    # extremes and their normal entries take 56 B a vertex, a copy of the columns 1,608 B
     assert peak <= 256 * n
 
 
@@ -786,6 +785,15 @@ def test_trace_normal_is_every_vertex_not_malicious():
     trace = SimulationTrace(states=np.zeros((2, 4)), malicious=frozenset({1, 3}), converged_at=None)
     assert trace.normal == frozenset({0, 2})
     assert trace_sidecar_dict(trace)["normal"] == [0, 2]
+
+
+def test_trace_derives_its_normal_set_once():
+    trace = simulate(sparsest_odd(3), constant_threat("F-local", 1, {0: 9.0}), [1.0, 2.0, 3.0, 4.0, 5.0])
+    normal = trace.normal
+    assert normal is trace.normal
+    check_validity(trace)
+    trace_sidecar_dict(trace)
+    assert trace.normal is normal and normal == frozenset({1, 2, 3, 4})
 
 
 def test_trace_derives_its_hull_and_consensus_value_from_its_states():

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +24,7 @@ from robustnet import (
 )
 from robustnet import construct
 
-from oracles import getrandbits_word_rows, listcomp_erdos_renyi
+from oracles import getrandbits_word_rows, listcomp_erdos_renyi, traced_memory
 
 
 def test_sparsest_odd_edge_counts():
@@ -225,13 +224,9 @@ def test_erdos_renyi_releases_matrix_rows_as_it_reads_them():
     # both at once would lift the peak that far above what the graph keeps
     n = 6000
     erdos_renyi(FIRST_WORD_N, 0.5, 1)  # numpy.random is imported outside the trace
-    tracemalloc.start()
-    try:
-        g = erdos_renyi(n, 0.5, 2)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert g.n == n
+    graphs = []
+    kept, peak = traced_memory(lambda: graphs.append(erdos_renyi(n, 0.5, 2)))
+    assert graphs[0].n == n
     assert peak - kept < n * n // 16
 
 
@@ -239,12 +234,7 @@ def test_erdos_renyi_memory_stays_within_its_blocks():
     # drawing all 2M pairs at once would take 16 MiB for each uint64 temporary;
     # the packed matrix and the rows take about 1 MiB
     erdos_renyi(2000, 0.5, 1)
-    tracemalloc.start()
-    try:
-        erdos_renyi(2000, 0.5, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_memory(lambda: erdos_renyi(2000, 0.5, 2))[1]
     assert peak < 4 << 20
 
 

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,7 @@ from robustnet import (
 from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
 from robustnet.robustness import _CHUNK, _subset_tables
 
-from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment
+from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment, traced_memory
 
 
 def test_derive_seed_is_stable():
@@ -286,22 +285,17 @@ def test_slices_stay_within_one_certification_at_n_20(monkeypatch):
     assert all(size << n <= _CHUNK for size, n in slices)
 
 
-def _peak_bytes(run):
-    run()  # first calls may fill interpreter caches
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_sweep_memory_at_the_limit_is_one_certification():
     # robustness_levels slices to _CHUNK table entries, or one graph at n = 20
-    single = _peak_bytes(lambda: max_robustness(erdos_renyi(20, 0.8, 1)))
+    def certify():
+        max_robustness(erdos_renyi(20, 0.8, 1))
+
+    certify()  # first calls may fill interpreter caches
+    single = traced_memory(certify)[1]
     for offset in ("2r", "2r-1"):  # one graph a slice at n = 20 and at n = 19
         config = ExperimentConfig(r_values=(10,), p_values=(0.8,), node_offsets=(offset,),
                                   samples_per_p=10, master_seed=0, max_attempts=3)
         # the slack covers the cell's graphs and records; one more table
         # of 2^20 entries would take 1 MiB
-        assert _peak_bytes(lambda: run_experiment(config)) <= single + (1 << 16)
+        run_experiment(config)  # first calls may fill interpreter caches
+        assert traced_memory(lambda: run_experiment(config))[1] <= single + (1 << 16)

@@ -3,7 +3,6 @@ import math
 import random
 import re
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -48,6 +47,7 @@ from oracles import (
     path_graph,
     random_graph,
     small_graphs,
+    traced_memory,
 )
 
 
@@ -134,6 +134,12 @@ def test_new_graph_reports_the_first_faulty_edge():
         new_graph(3, [(1, 1), 5])
     with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) must be a pair of integers$"):
         new_graph(3, [(1, 1), (0, 1, 2)])
+
+
+def test_new_graph_refuses_edges_that_are_not_iterable():
+    for bad in (5, None, 2.5):
+        with pytest.raises(ValueError, match=rf"^edges must be pairs of integers, got {bad!r}$"):
+            new_graph(3, bad)
 
 
 def test_check_int_accepts_only_ints_in_range():
@@ -374,19 +380,10 @@ def test_densest_subset_rejects_bool_size():
         densest_subset_of_size(path_graph(3), True)
 
 
-def _traced_memory(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-
 def test_densest_subset_memory_at_the_limit():
     g = random_graph(random.Random(20), MAX_EXACT_N, 0.5)
     found = []
-    current, peak = _traced_memory(lambda: found.append(densest_subset_of_size(g, 11)))
+    current, peak = traced_memory(lambda: found.append(densest_subset_of_size(g, 11)))
     assert peak <= 8 << 20  # 8 bytes per subset; two uint8 tables are 2 MiB
     assert current < 1 << 16  # no 2^n table outlives the call
     subset, count = found[0]
@@ -408,7 +405,7 @@ def test_densest_subset_refuses_n_above_limit_before_building():
             densest_subset_of_size(big, 2)
 
     # one uint8 table over 2^21 masks would be 2 MiB
-    assert _traced_memory(refuse)[1] < 1 << 16
+    assert traced_memory(refuse)[1] < 1 << 16
 
 
 def test_edge_list_round_trip():
@@ -436,7 +433,7 @@ def test_format_edge_list_memory_stays_within_its_blocks():
     # at once would add tens of MB of column ints for the million edges
     g = erdos_renyi(2000, 0.5, 1)
     texts = []
-    peak = _traced_memory(lambda: texts.append(format_edge_list(g)))[1]
+    peak = traced_memory(lambda: texts.append(format_edge_list(g)))[1]
     assert texts[0].count("\n") == g.edge_count + 1
     assert peak < 2 * len(texts[0]) + (4 << 20)
 

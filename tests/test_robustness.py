@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from oracles import (
     scan_max_robustness,
     small_graphs,
     subset_reachability,
+    traced_memory,
 )
 
 
@@ -49,6 +49,15 @@ def test_reachability_examples():
         reachability(complete_graph(3), set())
     with pytest.raises(ValueError):
         reachability(complete_graph(3), {5})
+
+
+def test_reachability_reads_members_as_checked_vertices():
+    # duplicates collapse; a member out of range, or a bool, is refused as a vertex
+    assert reachability(cycle_graph(4), [0, 1, 0, 1]) == 1
+    with pytest.raises(ValueError, match=r"^vertex 5 out of range 0\.\.2$"):
+        reachability(complete_graph(3), [0, 5])
+    with pytest.raises(ValueError, match=r"^vertex True out of range 0\.\.2$"):
+        reachability(complete_graph(3), [True])
 
 
 def test_reachability_matches_oracle():
@@ -294,7 +303,7 @@ def test_robustness_levels_input_rules():
         with pytest.raises(ValueError, match=r"2\^n"):
             robustness_levels([big, big])
 
-    assert _traced_memory(refuse)[1] < 1 << 20
+    assert traced_memory(refuse)[1] < 1 << 20
 
 
 def _submasks(m):
@@ -348,20 +357,11 @@ def test_pairs_examined_counts_s1_candidates():
         assert max_robustness(path_graph(n)).pairs_examined == 2 ** n - 2
 
 
-def _traced_memory(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-
 def test_certifier_memory_stays_within_16_bytes_per_subset():
     g = sparsest_even(8)  # n = 16: 2^16 subsets
     for run in (lambda: max_robustness(g), lambda: is_r_robust(g, 8), lambda: is_r_robust(g, 9)):
         run()  # first calls may fill interpreter caches
-        current, peak = _traced_memory(run)
+        current, peak = traced_memory(run)
         assert peak <= 1 << 20
         assert current < 1 << 16  # no subset table outlives the call
 
@@ -374,7 +374,7 @@ def test_reach_build_holds_one_chunk_at_a_time():
     for g in (sparsest_even(8), erdos_renyi(MAX_EXACT_N, 0.8, 1)):
         size = 1 << g.n
         _subset_tables([g.rows])  # first calls may fill interpreter caches
-        peak = _traced_memory(lambda: _subset_tables([g.rows]))[1]
+        peak = traced_memory(lambda: _subset_tables([g.rows]))[1]
         assert peak <= max(_CHUNK, size) + 3 * size
 
 
@@ -397,9 +397,9 @@ def test_robustness_levels_memory_does_not_grow_with_the_stack():
     rng = random.Random(2020)
     graphs = [random_graph(rng, MAX_EXACT_N, 0.75) for _ in range(16)]
     expected = [max_robustness(g).r_max for g in graphs]
-    single = _traced_memory(lambda: max_robustness(graphs[0]))[1]
+    single = traced_memory(lambda: max_robustness(graphs[0]))[1]
     levels = []
-    peak = _traced_memory(lambda: levels.extend(robustness_levels(graphs)))[1]
+    peak = traced_memory(lambda: levels.extend(robustness_levels(graphs)))[1]
     assert levels == expected
     assert peak <= single + (1 << 18)
 
@@ -413,7 +413,7 @@ def test_capability_limit_is_checked_before_tables_are_built():
         with pytest.raises(ValueError, match=r"2\^n"):
             max_robustness(big)
 
-    assert _traced_memory(refuse)[1] < 1 << 20
+    assert traced_memory(refuse)[1] < 1 << 20
 
 
 def test_edge_lower_bound_values():
