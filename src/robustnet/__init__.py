@@ -52,7 +52,6 @@ from .consensus import (
     sinusoid,
     trace_sidecar_dict,
     trace_to_csv_text,
-    write_trace,
 )
 from .experiment import (
     ExperimentConfig,

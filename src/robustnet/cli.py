@@ -6,7 +6,8 @@ completes but its property fails (simulate without agreement+validity), and
 property-failure exits so a red run still leaves its data behind.  Each
 subcommand writes its files and settles its exit code before it reads
 --quiet, so --quiet changes neither; the report after that, edge bound and
-structure checks included, is computed only when it is printed.
+structure checks included, is computed only when it is printed.  Only this
+module names output files; graph.write_text writes every one of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import sys
 from pathlib import Path
 
 from .construct import KINDS, TREE_SHAPES
-from .consensus import ThreatModel, check_validity, simulate, write_trace
+from .consensus import (ThreatModel, check_validity, simulate, trace_sidecar_dict,
+                        trace_to_csv_text)
 from .experiment import (
     ExperimentConfig,
     records_to_csv_text,
@@ -88,9 +90,11 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     initial = [0.0 if i in threat.malicious else rng.uniform(-100.0, 100.0) for i in range(g.n)]
     trace = simulate(g, threat, initial, max_steps=args.steps, tol=args.tol)
-    csv_path, sidecar_path = write_trace(trace, args.out_prefix)
+    csv_path, sidecar_path, verdict_path = (Path(f"{args.out_prefix}{suffix}")
+                                            for suffix in (".csv", ".json", ".verdict.json"))
+    write_text(csv_path, trace_to_csv_text(trace))
+    write_text(sidecar_path, json.dumps(trace_sidecar_dict(trace), indent=2) + "\n")
     verdict = check_validity(trace)
-    verdict_path = Path(f"{args.out_prefix}.verdict.json")
     write_text(verdict_path, json.dumps(dataclasses.asdict(verdict), indent=2) + "\n")
     code = 0 if verdict.agreement and verdict.validity else 1
     if args.quiet:

@@ -18,20 +18,17 @@ different values are deliberately out of scope.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from numbers import Real
-from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import (MAX_VERTICES, Graph, check_fields, check_int, check_number,
-                    set_bit_columns, write_text)
+from .graph import MAX_VERTICES, Graph, check_fields, check_int, check_number, set_bit_columns
 
 Behavior = Callable[[int], float]
 
@@ -433,11 +430,3 @@ def trace_sidecar_dict(trace: SimulationTrace) -> dict:
         "safety_interval": list(trace.safety_interval),
     }
 
-
-def write_trace(trace: SimulationTrace, prefix) -> tuple[Path, Path]:
-    """Write <prefix>.csv and <prefix>.json; returns both paths."""
-    csv_path = Path(f"{prefix}.csv")
-    json_path = Path(f"{prefix}.json")
-    write_text(csv_path, trace_to_csv_text(trace))
-    write_text(json_path, json.dumps(trace_sidecar_dict(trace), indent=2) + "\n")
-    return csv_path, json_path

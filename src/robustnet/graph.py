@@ -263,6 +263,8 @@ def densest_subset_of_size(g: Graph, k: int) -> tuple[frozenset[int], int]:
 # Bits of the rows format_edge_list unpacks at once, n a row, so that its
 # arrays and the ends it lists stay O(this) at any n.
 _WRITE_BLOCK_BITS = 1 << 17
+# Characters write_text encodes at once, so a file's UTF-8 copy is held a slice at a time.
+_WRITE_SLICE_CHARS = 1 << 20
 
 
 def format_edge_list(g: Graph) -> str:
@@ -353,24 +355,28 @@ def read_input(path, parse):
 def write_text(path, text: str) -> None:
     """Write text to path as UTF-8, rewriting an existing file in place.
 
-    A new file is created with mode 0o666 less the umask.  An existing
-    regular file is overwritten from its start and then cut to the bytes
-    written, also when a write fails partway.  Opening without O_TRUNC
-    saves time only on an existing non-empty file: on ext4, truncating it
-    to zero frees its block and starts writeback at close.  A device or
-    FIFO (/dev/null, /dev/stdout) is written and never truncated.
+    The text is encoded and written _WRITE_SLICE_CHARS characters at a
+    time; a text of one slice is encoded whole, without a copy.  A new file
+    is created with mode 0o666 less the umask.  An existing regular file is
+    overwritten from its start and then cut to the bytes written, also when
+    an encode or a write fails partway.  Opening without O_TRUNC saves time
+    only on an existing non-empty file: on ext4, truncating it to zero frees
+    its block and starts writeback at close.  A device or FIFO (/dev/null,
+    /dev/stdout) is written and never truncated.
 
     Nothing is fsynced, and a rewrite is not ordered before the change of
     length: after a crash, or to a concurrent reader, a rewritten file can
     hold old and new bytes mixed, where a truncating write would leave the
     new content or an empty file.
     """
-    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
     try:
-        while written < len(data):
-            written += os.write(fd, data[written:])
+        for start in range(0, len(text), _WRITE_SLICE_CHARS):
+            data = memoryview(text[start:start + _WRITE_SLICE_CHARS].encode("utf-8"))
+            while data:
+                written += (count := os.write(fd, data))
+                data = data[count:]
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
@@ -12,12 +13,13 @@ import pytest
 
 import robustnet
 import robustnet.cli
-from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, erdos_renyi, format_edge_list,
-                       load_graph, new_graph, sparsest_even, sparsest_odd, tree_graph,
-                       write_edge_list)
+from robustnet import (MAX_EXACT_N, MAX_VERTICES, ThreatModel, check_validity, erdos_renyi,
+                       format_edge_list, load_graph, new_graph, sparsest_even, sparsest_odd,
+                       trace_sidecar_dict, trace_to_csv_text, tree_graph, write_edge_list)
 from robustnet.cli import _build_parser, main
+from robustnet.graph import write_text
 
-from oracles import DEFAULT_SWEEP_SHA256, graph_to_json_dict
+from oracles import DEFAULT_SWEEP_SHA256, graph_to_json_dict, traced_memory
 
 
 def write_threat(path, scope="F-local", f=3, malicious=(0, 6, 12), value=150.0):
@@ -802,6 +804,25 @@ def test_each_writer_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, c
         assert (stale / name).read_bytes() == (fresh / name).read_bytes()
 
 
+def test_simulate_writes_the_texts_of_its_trace_and_verdict(tmp_path, monkeypatch):
+    inputs = _write_inputs(tmp_path)
+    traces = []
+
+    def recorded(*args, **kwargs):
+        traces.append(robustnet.consensus.simulate(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(robustnet.cli, "simulate", recorded)
+    assert main(["simulate", str(inputs / "g.edges"), "--threat", str(inputs / "threat.json"),
+                 "--seed", "7", "--out-prefix", str(tmp_path / "run"), "--quiet"]) == 0
+    [trace] = traces
+    verdict = dataclasses.asdict(check_validity(trace))
+    for name, text in (("run.csv", trace_to_csv_text(trace)),
+                       ("run.json", json.dumps(trace_sidecar_dict(trace), indent=2) + "\n"),
+                       ("run.verdict.json", json.dumps(verdict, indent=2) + "\n")):
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
 def test_certify_writes_to_dev_null(tmp_path):
     inputs = _write_inputs(tmp_path)
     assert main(["certify", str(inputs / "g.edges"), "--output", os.devnull, "--quiet"]) == 0
@@ -837,3 +858,34 @@ def test_a_failed_write_leaves_the_file_cut_at_the_bytes_written(tmp_path, monke
     monkeypatch.undo()
     assert "No space left on device" in capsys.readouterr().err
     assert report.read_bytes() == (tmp_path / "fresh.json").read_bytes()[:21]
+
+
+def test_write_text_holds_a_slice_of_the_text_at_a_time(tmp_path):
+    text = "1234 5678\n" * 2_100_000  # 21 MB: its UTF-8 copy whole would be 20 MiB
+    peak = traced_memory(lambda: write_text(tmp_path / "big.edges", text))[1]
+    assert (tmp_path / "big.edges").stat().st_size == len(text)
+    assert peak <= 4 << 20
+
+
+def test_a_write_that_fails_in_its_second_slice_leaves_the_file_cut_at_the_bytes_written(
+        tmp_path, monkeypatch):
+    text = "r\u00e9seau 1 2\n" * 150_000  # 1.65 million characters, two slices of UTF-8
+    path = tmp_path / "big.edges"
+    path.write_bytes(b"#" * (2 * len(text)))
+    real_write = os.write
+    sizes = []
+
+    def at_most_400_kb_then_a_full_disk(fd, data):
+        if len(sizes) == 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        sizes.append(real_write(fd, bytes(data[:400_000])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", at_most_400_kb_then_a_full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_text(path, text)
+    monkeypatch.undo()
+    data = text.encode("utf-8")
+    first_slice = len(text[:1 << 20].encode("utf-8"))
+    assert first_slice < sum(sizes) < len(data)
+    assert path.read_bytes() == data[:sum(sizes)]

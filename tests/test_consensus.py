@@ -28,7 +28,6 @@ from robustnet import (
     sparsest_odd,
     trace_sidecar_dict,
     trace_to_csv_text,
-    write_trace,
 )
 from robustnet.consensus import BEHAVIOR_KINDS, HULL_TOL, _neighbor_table
 
@@ -810,7 +809,7 @@ def test_trace_derives_its_hull_and_consensus_value_from_its_states():
         assert lo == hi == 0.0 and math.copysign(1.0, lo) == math.copysign(1.0, hi) == first
 
 
-def test_trace_export(tmp_path):
+def test_trace_export():
     g = path_graph(3)
     trace = simulate(g, no_threat(), [0.0, 3.0, 9.0], max_steps=5, tol=1e-3)
     text = trace_to_csv_text(trace)
@@ -824,10 +823,6 @@ def test_trace_export(tmp_path):
                             "consensus_value", "safety_interval"}
     assert sidecar["normal"] == [0, 1, 2]
     assert sidecar["safety_interval"] == [0.0, 9.0]
-
-    csv_path, json_path = write_trace(trace, tmp_path / "run")
-    assert csv_path.read_text() == text
-    assert json_path.exists()
 
 
 def test_trace_csv_is_repr_of_every_float():

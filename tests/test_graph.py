@@ -449,6 +449,9 @@ def test_edge_list_comments_and_blanks():
     ("", "empty edge-list input"),
     ("3\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
     ("3\n0 x\n", "line 2: expected integers, got '0 x'"),
+    ("0x10\n", "line 1: expected integers, got '0x10'"),
+    ("3\n0 1e3\n", "line 2: expected integers, got '0 1e3'"),
+    ("3\n1.0 2\n", "line 2: expected integers, got '1.0 2'"),
     ("2 2\n", "line 1: expected a single vertex count, got '2 2'"),
     ("3\n0 3\n", "edge (0, 3) out of range for n=3"),
     ("3\n1 1\n", "self-loop (1, 1) not allowed"),
@@ -460,6 +463,17 @@ def test_edge_list_errors(text, message):
     with pytest.raises(ValueError) as err:
         parse_edge_list(text)
     assert str(err.value) == message
+
+
+# a field is read by Python's int(): a sign, underscores between digits and the
+# decimal digits of any script are accepted
+@pytest.mark.parametrize("text, edges", [
+    ("+3\n0 +2\n", (3, [(0, 2)])),
+    ("1_6\n0 1_5\n", (16, [(0, 15)])),
+    ("\u0663\n0 \u0662\n", (3, [(0, 2)])),
+])
+def test_edge_list_fields_are_read_by_int(text, edges):
+    assert parse_edge_list(text) == new_graph(*edges)
 
 
 def _outcome(parse, text):
