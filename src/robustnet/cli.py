@@ -30,7 +30,7 @@ from .experiment import (
     run_experiment,
     summary_to_csv_text,
 )
-from .graph import MAX_VERTICES, check_int, load_graph, read_input, write_edge_list, write_text
+from .graph import MAX_VERTICES, check_int, load_graph, parse_json, read_input, write_edge_list, write_text
 from .robustness import check_structural_lemmas, edge_lower_bound, max_robustness
 
 
@@ -86,7 +86,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = load_graph(args.graph)
-    threat = read_input(args.threat, lambda text: ThreatModel.from_json_dict(json.loads(text)))
+    threat = read_input(args.threat, lambda text: ThreatModel.from_json_dict(parse_json(text)))
     rng = random.Random(args.seed)
     initial = [0.0 if i in threat.malicious else rng.uniform(-100.0, 100.0) for i in range(g.n)]
     trace = simulate(g, threat, initial, max_steps=args.steps, tol=args.tol)
@@ -124,7 +124,7 @@ def number(text: str):
 
 
 def cmd_experiment(args) -> int:
-    config = (read_input(args.config, lambda text: ExperimentConfig.from_json_dict(json.loads(text)))
+    config = (read_input(args.config, lambda text: ExperimentConfig.from_json_dict(parse_json(text)))
               if args.config else ExperimentConfig())
     flags = {name: value for name in ExperimentConfig.__dataclass_fields__
              if (value := getattr(args, name)) is not None}
@@ -157,14 +157,10 @@ def cmd_bounds(args) -> int:
         reports.append(edge_lower_bound(2 * r, r))
     if args.format == "json":
         text = json.dumps([dataclasses.asdict(b) for b in reports], indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["r,n,bound,kind"]
-        lines.extend(f"{b.r},{b.n},{b.bound},{b.kind}" for b in reports)
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{'r':>3} {'n':>4} {'bound':>7}  kind"]
-        lines.extend(f"{b.r:>3} {b.n:>4} {b.bound:>7}  {b.kind}" for b in reports)
-        text = "\n".join(lines) + "\n"
+    else:  # one template lays out the header and every row
+        row = "{},{},{},{}\n" if args.format == "csv" else "{:>3} {:>4} {:>7}  {}\n"
+        text = row.format("r", "n", "bound", "kind") + "".join(
+            row.format(b.r, b.n, b.bound, b.kind) for b in reports)
     if args.output:
         write_text(args.output, text)
         if not args.quiet:

@@ -418,7 +418,7 @@ def trace_to_csv_text(trace: SimulationTrace) -> str:
     lines = ["t," + ",".join(f"agent_{i}" for i in range(n))]
     for t, row in enumerate(trace.states):
         lines.append(str(t) + "," + ",".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])  # the last newline inside the join, not a copy of the text
 
 
 def trace_sidecar_dict(trace: SimulationTrace) -> dict:

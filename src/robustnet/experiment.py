@@ -183,7 +183,7 @@ def records_to_csv_text(records: list[ExperimentRecord]) -> str:
             f"{rec.r},{rec.n},{rec.p!r},{rec.seed},{rec.edge_count},{rec.r_max},"
             f"{'true' if rec.accepted else 'false'}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def summary_to_csv_text(rows: list[SummaryRow]) -> str:
@@ -195,4 +195,4 @@ def summary_to_csv_text(rows: list[SummaryRow]) -> str:
             f"{row.r},{row.n},{min_edges},{row.bound},{gap},{row.accepted},{row.requested},"
             f"{'true' if row.shortfall else 'false'}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])

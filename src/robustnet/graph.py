@@ -324,6 +324,22 @@ def parse_edge_list(text: str) -> Graph:
     return _graph_from_ends(n, ends)
 
 
+def parse_json(text: str):
+    """The value of JSON text: parse_edge_list's twin, refusing a key given twice in an object."""
+    try:
+        return json.loads(text, object_pairs_hook=_dict_of_unique_keys)
+    except RecursionError:
+        raise ValueError("nested too deeply to parse") from None
+
+
+def _dict_of_unique_keys(pairs: list) -> dict:
+    if len(data := dict(pairs)) < len(pairs):
+        seen = set()  # names the first key given twice: set.add returns None
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"a JSON object names a key twice: {key!r}")
+    return data
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     check_fields(data, "graph JSON", ("n", "edges"))
     n, edges = data["n"], data["edges"]
@@ -339,8 +355,8 @@ def read_input(path, parse):
     The reading twin of write_text: the file is opened unbuffered in binary,
     read whole and decoded as strict UTF-8, with no text layer and no locale
     lookup.  Line ends are kept as they are.  Any ValueError from the bytes
-    or from parse (JSON syntax, nesting too deep, shape or range) is raised
-    as ValueError("<path>: <message>"); an OSError passes unchanged.
+    or from parse (JSON syntax or nesting, a repeated key, shape or range) is
+    raised as ValueError("<path>: <message>"); an OSError passes unchanged.
     """
     with open(path, "rb", buffering=0) as f:
         data = f.readall()
@@ -348,8 +364,6 @@ def read_input(path, parse):
         return parse(data.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except RecursionError:
-        raise ValueError(f"{path}: nested too deeply to parse") from None
 
 
 def write_text(path, text: str) -> None:
@@ -401,5 +415,5 @@ def load_graph(path) -> Graph:
 
 def _parse_graph(text: str) -> Graph:
     if text.lstrip()[:1] == "{":
-        return graph_from_json_dict(json.loads(text))
+        return graph_from_json_dict(parse_json(text))
     return parse_edge_list(text)

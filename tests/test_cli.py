@@ -40,6 +40,14 @@ def test_bounds_table(capsys):
     assert " 63" in out and " 67" in out
 
 
+def test_bounds_table_bytes(capsys):
+    # recorded while the text and CSV tables had a layout each
+    assert main(["bounds", "--r-max", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "1393f0d5a1fa11a955576a9bfed9c82434b0a8a7b7f8914313d0c12fe2d7651e"
+
+
 def test_bounds_csv_golden(capsys):
     assert main(["bounds", "--r-min", "7", "--r-max", "7", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -238,9 +246,8 @@ def _run_in_ascii_locale(cwd, *args):
 
 def _non_ascii_inputs(tmp_path):
     (tmp_path / "g.edges").write_bytes("# r\u00e9seau \u00e1\r\n3\r\n0 1\r\n1 2\r\n".encode("utf-8"))
-    # a threat spec has no free-text field: the non-ASCII value is replaced by a later duplicate key
-    (tmp_path / "t.json").write_bytes(
-        '{"scope": "F-l\u00f3cal", "scope": "F-local", "F": 0, "malicious": []}'.encode("utf-8"))
+    # a threat spec has no free-text field, so a valid one is ASCII: the graph's comment is not
+    (tmp_path / "t.json").write_bytes(b'{"scope": "F-local", "F": 0, "malicious": []}')
     config = {"r_values": [1], "samples_per_p": 1, "p_values": [0.9], "output_dir": "r\u00e9sultats"}
     (tmp_path / "c.json").write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
 
@@ -262,6 +269,18 @@ def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
     done = _run_in_ascii_locale(tmp_path, *args)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / written).is_file()
+
+
+def test_a_threat_is_decoded_as_utf8_under_an_ascii_locale(tmp_path):
+    # a non-ASCII threat value is decoded, then refused by the threat's own check
+    _non_ascii_inputs(tmp_path)
+    (tmp_path / "t.json").write_bytes(
+        '{"scope": "F-l\u00f3cal", "F": 0, "malicious": []}'.encode("utf-8"))
+    done = _run_in_ascii_locale(tmp_path, "simulate", "g.edges", "--threat", "t.json",
+                                "--out-prefix", "run")
+    assert done.returncode == 2
+    assert "got 'F-l\\xf3cal'" in done.stderr and "can't decode" not in done.stderr
+    assert not list(tmp_path.glob("run.*"))
 
 
 def test_certify_json_graph(tmp_path, capsys):
@@ -711,6 +730,17 @@ _HOSTILE_INPUTS = [
     ("threat", b'{"scope": "F-local", ', "Expecting property name"),
     ("config", b'{"r_values": [1], "output_dir": "\xff"}', "can't decode byte 0xff"),
     ("config", b'{"r_values": [1', "Expecting"),
+    # a key given twice in one object, at each door and depth: the last value alone would run
+    ("graph", b'{"n": 2, "edges": [[0, 1]], "n": 3}', "a JSON object names a key twice: 'n'"),
+    ("threat", b'{"scope": "F-local", "F": 5, "malicious": [0], '
+               b'"behavior": {"kind": "constant", "value": 5.0}, "F": 1}', "names a key twice: 'F'"),
+    ("threat", b'{"scope": "F-local", "F": 1, "malicious": [0], "behaviors": '
+               b'{"0": {"kind": "constant", "value": 5.0}, "0": {"kind": "constant", "value": 6.0}}}',
+     "names a key twice: '0'"),
+    ("threat", b'{"scope": "F-local", "F": 1, "malicious": [0], '
+               b'"behavior": {"kind": "constant", "value": 5.0, "value": 6.0}}', "names a key twice: 'value'"),
+    ("config", b'{"r_values": [1], "samples_per_p": 1, "p_values": [0.9], "r_values": [2]}',
+     "names a key twice: 'r_values'"),
 ]
 
 

@@ -780,6 +780,18 @@ def test_check_validity_reads_the_trace_in_place():
     assert peak <= 256 * n
 
 
+def test_trace_csv_text_peaks_near_the_lines_and_the_text():
+    states = np.random.default_rng(5).uniform(-100.0, 100.0, (201, 1024))
+    trace = SimulationTrace(states=states, malicious=frozenset(), converged_at=None)
+    texts = []
+    peak = traced_memory(lambda: texts.append(trace_to_csv_text(trace)))[1]
+    (text,) = texts
+    assert text.endswith("\n") and text.count("\n") == 202
+    # the row strings and the joined text, each about the text's size; adding the
+    # last newline after the join would copy the whole text once more (3x)
+    assert peak <= 2.2 * len(text)
+
+
 def test_trace_normal_is_every_vertex_not_malicious():
     trace = SimulationTrace(states=np.zeros((2, 4)), malicious=frozenset({1, 3}), converged_at=None)
     assert trace.normal == frozenset({0, 2})
