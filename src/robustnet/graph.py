@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -82,9 +83,10 @@ def set_bit_columns(rows: Iterable[int], n: int) -> np.ndarray:
     """
     nbytes = (n + 7) >> 3
     packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in rows), np.uint8)
-    at = np.flatnonzero(packed)
+    # flatnonzero of a bool array: on uint8 it takes numpy's slower generic path
+    at = np.flatnonzero(packed != 0)
     # bit 8k + b of the unpacked nonzero bytes is bit b of byte at[k]
-    set_bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little"))
+    set_bits = np.flatnonzero(np.unpackbits(packed[at], bitorder="little").view(bool))
     return (at % nbytes * 8)[set_bits >> 3] + (set_bits & 7)
 
 
@@ -295,14 +297,27 @@ def format_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; '#' starts a comment, blank lines are skipped.
 
-    A header vertex count above MAX_VERTICES is rejected at once.  Each line
-    is split once and an edge line's two ends are kept flat; the edge rule
-    of _graph_from_ends runs after every line has parsed, so a format error
-    on any line is reported before a bad edge on an earlier one.
+    The line parser: a header vertex count above MAX_VERTICES is rejected
+    at once, and the edge rule of _graph_from_ends runs after every line has
+    parsed, so a format error on any line is reported before a bad edge on
+    an earlier one.  load_graph reads files by the same rules a block at a
+    time.
     """
-    n = None
+    n, ends, _ = _parse_lines(text, None, 0)
+    if n is None:
+        raise ValueError("empty edge-list input")
+    return _graph_from_ends(n, ends)
+
+
+def _parse_lines(text: str, n: Optional[int], lineno: int) -> tuple[Optional[int], list[int], int]:
+    """(n, ends, lineno) after the lines of text, numbered on from lineno.
+
+    n is the vertex count once the header is read (None before it), ends
+    the two ends of each edge line, flat, and lineno the number of the
+    last line.  Each line is split once; a format error is raised at its line.
+    """
     ends = []  # u0, v0, u1, v1, ...
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=lineno + 1):
         fields = raw.partition("#")[0].split()
         try:
             if len(fields) == 2 and n is not None:
@@ -319,9 +334,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(values) != 1:
             raise ValueError(f"line {lineno}: expected a single vertex count, got {raw!r}")
         n = check_vertex_count(values[0])
-    if n is None:
-        raise ValueError("empty edge-list input")
-    return _graph_from_ends(n, ends)
+    return n, ends, lineno
 
 
 def parse_json(text: str):
@@ -350,20 +363,48 @@ def graph_from_json_dict(data: dict) -> Graph:
 
 
 def read_input(path, parse):
-    """parse applied to the text of the file at path: the one reader of every input file.
+    """parse applied to the text of the file at path: the reader of every input
+    file but the graph files of load_graph.
 
     The reading twin of write_text: the file is opened unbuffered in binary,
     read whole and decoded as strict UTF-8, with no text layer and no locale
-    lookup.  Line ends are kept as they are.  Any ValueError from the bytes
-    or from parse (JSON syntax or nesting, a repeated key, shape or range) is
-    raised as ValueError("<path>: <message>"); an OSError passes unchanged.
+    lookup.  One leading byte-order mark is skipped; line ends are kept as
+    they are.  Any ValueError from the bytes or from parse (JSON syntax or
+    nesting, a repeated key, shape or range) is raised as
+    ValueError("<path>: <message>"); an OSError passes unchanged.
     """
+    return _read_file(path, lambda f: parse(_decode(*_skip_bom(f.readall()))))
+
+
+def _read_file(path, read):
+    """read applied to the file at path, opened unbuffered in binary, each
+    ValueError raised as ValueError("<path>: <message>")."""
     with open(path, "rb", buffering=0) as f:
-        data = f.readall()
+        try:
+            return read(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+def _skip_bom(data: bytes) -> tuple[bytes, int]:
+    """data without one leading byte-order mark, and the offset of what is left."""
+    return (data[3:], 3) if data.startswith(_BOM) else (data, 0)
+
+
+def _decode(data: bytes, offset: int = 0) -> str:
+    """data decoded as strict UTF-8; bytes that are not UTF-8 raise ValueError with
+    their position in the file, data being its bytes from offset on."""
     try:
-        return parse(data.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # str(exc)'s wording, counted from the start of the file
+        start, end = exc.start + offset, exc.end + offset
+        where = (f"byte 0x{data[exc.start]:02x} in position {start}" if end - start == 1
+                 else f"bytes in position {start}-{end - 1}")
+        raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from exc
 
 
 def write_text(path, text: str) -> None:
@@ -406,14 +447,174 @@ def write_edge_list(g: Graph, path) -> None:
 def load_graph(path) -> Graph:
     """Read a graph file in either edge-list or JSON form (sniffed by content).
 
-    The file is read by read_input, so every error about its bytes or
-    content starts with its path.  Files declaring more than MAX_VERTICES
+    Read by _read_file, so every error about the file's bytes or content
+    starts with its path.  One leading byte-order mark is skipped.  A file
+    whose first block (_READ_BLOCK_BYTES) starts with '{' after whitespace
+    is read whole as JSON; any other is an edge list, read a block at a
+    time by _read_edge_list.  Files declaring more than MAX_VERTICES
     vertices are rejected before the graph is built.
     """
-    return read_input(path, _parse_graph)
+    return _read_file(path, _read_graph)
 
 
-def _parse_graph(text: str) -> Graph:
-    if text.lstrip()[:1] == "{":
+def _read_graph(f) -> Graph:
+    size = os.fstat(f.fileno()).st_size  # 0 for a pipe or a device
+    # a small file is read by the size it has: no block-sized buffer is allocated for it
+    data, eof = _read_block(f, b"", size + 1 if 0 < size < _READ_BLOCK_BYTES else _READ_BLOCK_BYTES)
+    data, offset = _skip_bom(data)
+    if str(data, "utf-8", "replace").lstrip()[:1] == "{":
+        text = _decode(data if eof else data + f.readall(), offset)
         return graph_from_json_dict(parse_json(text))
-    return parse_edge_list(text)
+    return _read_edge_list(f, data, eof, offset)
+
+
+# Bytes the edge-list reader holds of a file at once: a block is cut after
+# its last line break, so a line must fit in one.
+_READ_BLOCK_BYTES = 1 << 20
+# The line breaks str.splitlines knows besides "\n", in UTF-8: each is a
+# whole character, so a block cut after one decodes on its own.
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                 b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+# A header line, after blank lines, that the line parser reads as int(token).
+_PLAIN_HEADER = re.compile(rb"[ \n]*([0-9]{1,18}) *(?:\n|\Z)")
+_DIGITS = b"0123456789"
+_DIGITS_TO_ZEROS = bytes.maketrans(_DIGITS, b"0" * 10)
+# Up to this many vertices the reader's rows are a bool matrix, a byte a
+# pair (16 MiB here); above it, packed bits, which np.bitwise_or.at fills
+# about eight times slower.
+_BOOL_ROWS_N = 1 << 12
+
+
+def _read_block(f, carry: bytes, step: int) -> tuple[bytes, bool]:
+    """carry and the next bytes of f, up to _READ_BLOCK_BYTES in all, read at
+    most step bytes a call, and whether f has ended."""
+    parts = [carry] if carry else []
+    size = len(carry)
+    while size < _READ_BLOCK_BYTES:
+        part = f.read(min(step, _READ_BLOCK_BYTES - size))
+        if not part:
+            return b"".join(parts), True
+        parts.append(part)
+        size += len(part)
+    return b"".join(parts), False
+
+
+def _read_edge_list(f, data: bytes, eof: bool, offset: int) -> Graph:
+    """The graph of an edge list: data, at offset in the file, then the rest of f.
+
+    The file is read in blocks of at most _READ_BLOCK_BYTES, each cut after
+    its last line break; a line that does not fit in a block is refused.  A
+    plain block, one of whole 'u v' lines as format_edge_list writes them
+    (_plain_ends), is parsed by np.fromstring and its edges are checked by
+    array; any other block, and a plain block holding a faulty edge, is
+    decoded and read by the line parser, _parse_lines, with its true line
+    numbers.  So the rules, messages and line numbers are the line parser's.
+    A block's bytes and lines are checked before the next block is read; the
+    first edge that breaks the edge rule is named by _graph_from_ends after
+    the last block, as parse_edge_list does.  Besides one block, the reader
+    holds the rows: a bool matrix of n bytes a row up to _BOOL_ROWS_N
+    vertices, n / 8 bytes a row above.
+    """
+    n = rows = fault = None
+    lineno = 0  # the lines before data
+    while data:
+        cut = len(data) if eof else data.rfind(b"\n") + 1 or _last_break_end(data)
+        if not cut:
+            raise ValueError(f"line {lineno + 1}: longer than a block of {_READ_BLOCK_BYTES} bytes")
+        body, data = data[:cut], data[cut:]
+        if n is None and (header := _PLAIN_HEADER.match(body)):
+            n = check_vertex_count(int(header[1]))
+            rows = _new_rows(n)
+            lineno += body.count(b"\n", 0, header.end())
+            offset += header.end()
+            body = body[header.end():]
+        ends = None if n is None else _plain_ends(body)
+        if ends is not None:
+            lineno += ends.size >> 1  # a line an edge
+            if fault is None:
+                fault = _add_edges(rows, n, ends, lambda: _parse_lines(body.decode("ascii"), n, 0)[1])
+        else:
+            n, listed, lineno = _parse_lines(_decode(body, offset), n, lineno)
+            if rows is None and n is not None:
+                rows = _new_rows(n)
+            if fault is None and listed:
+                try:
+                    ends = np.array(listed, np.int64)
+                except OverflowError:
+                    ends = None
+                fault = _add_edges(rows, n, ends, lambda: listed)
+        offset += len(body)
+        if eof:
+            break
+        data, eof = _read_block(f, data, _READ_BLOCK_BYTES)
+    if n is None:
+        raise ValueError("empty edge-list input")
+    if fault:
+        raise ValueError(fault)
+    return _graph_from_rows(rows)
+
+
+def _last_break_end(data: bytes) -> int:
+    """The end of the last line break in data other than "\n", or 0 if none.
+
+    A break is not looked for in the last byte: a final "\r" may be the
+    start of "\r\n".
+    """
+    return max((at + len(brk) for brk in _OTHER_BREAKS
+                if (at := data.rfind(brk, 0, len(data) - 1)) >= 0), default=0)
+
+
+def _plain_ends(body: bytes) -> Optional[np.ndarray]:
+    """The ends of body's edges, flat, if body is plain, else None.
+
+    Plain is whole lines 'u v' of one space between two runs of at most 18
+    ASCII digits, as format_edge_list writes them: np.fromstring reads
+    their tokens as int() does, and their format is sure to be right.  The
+    bytes that are not digits must alternate ' ' and '\n', so that each
+    line has two tokens; np.fromstring must find a token before each of
+    them, so that no token is empty; and no 19 digits may run on (int()
+    refuses more than about 4,300, and int64 holds 18).
+    """
+    gaps = body.translate(None, _DIGITS)
+    if gaps != b" \n" * (len(gaps) >> 1) or b"0" * 19 in body.translate(_DIGITS_TO_ZEROS):
+        return None
+    ends = np.fromstring(body, np.int64, sep=" ")
+    return ends if ends.size == len(gaps) else None
+
+
+def _new_rows(n: int) -> np.ndarray:
+    """Empty rows for n vertices, each padded to whole 64-bit words."""
+    width = -(-n // 64) * 64
+    return np.zeros((n, width), bool) if n <= _BOOL_ROWS_N else np.zeros((n, width >> 3), np.uint8)
+
+
+def _add_edges(rows: np.ndarray, n: int, ends: Optional[np.ndarray], listed) -> Optional[str]:
+    """OR the edges (ends[0], ends[1]), (ends[2], ends[3]), ... into rows, both
+    ways, and return None; or, if one breaks the edge rule, add none and
+    return the message naming the first.
+
+    ends is None when an end does not fit int64.  listed() gives the ends
+    as the line parser reads them, for _graph_from_ends to name the edge.
+    """
+    # an end out of range, a negative one too, reads as an unsigned number of at least n
+    if ends is None or ends.size and (ends.view(np.uint64).max() >= n or (ends[0::2] == ends[1::2]).any()):
+        try:
+            _graph_from_ends(n, listed())
+        except ValueError as exc:
+            return str(exc)
+    u, v = ends[0::2], ends[1::2]
+    if rows.dtype == bool:
+        rows[u, v] = True
+        rows[v, u] = True
+    else:  # bit v of row u is bit v & 7 of byte u * width + v >> 3
+        heads, tails = np.concatenate((u, v)), np.concatenate((v, u))
+        np.bitwise_or.at(rows.reshape(-1), heads * rows.shape[1] + (tails >> 3),
+                         np.left_shift(1, tails & 7).astype(np.uint8))
+    return None
+
+
+def _graph_from_rows(rows: np.ndarray) -> Graph:
+    packed = np.packbits(rows, axis=1, bitorder="little") if rows.dtype == bool else rows
+    if packed.shape[1] == 8:  # one word a row
+        return Graph(tuple(packed.view("<u8").ravel().tolist()))
+    return Graph(tuple(int.from_bytes(row, "little") for row in packed))

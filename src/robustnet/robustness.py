@@ -243,6 +243,15 @@ def _violating_pair(reach, best, pair, t: int) -> Optional[WitnessPair]:
     in the complement, pair[S1] <= t screens candidates first, a block of
     masks at a time.  S2 is then the first submask of allowed(S1) with
     reach <= t, which best[allowed(S1)] <= t promises (else RuntimeError).
+
+    The walk for S2 starts at its highest vertex: the lowest bit a of
+    allowed whose prefix, allowed & ((2 << a) - 1), has best <= t.  A
+    submask whose highest bit b lies below a is a submask of b's prefix,
+    whose best is above t, so its reach is too; a submask whose highest bit
+    lies above a is larger than every submask with highest bit a.  And a's
+    prefix has a submask with reach <= t, which must hold a.  So S2 is the
+    first of a plus T, T ascending over the submasks of allowed's bits
+    below a, and only those are walked.
     Returns the pair as two frozensets of vertices, or None if none exists.
     """
     full = reach.size - 1
@@ -252,11 +261,20 @@ def _violating_pair(reach, best, pair, t: int) -> Optional[WitnessPair]:
             s1 = start + i
             allowed = (full ^ s1) & -((s1 & -s1) << 1)
             if best[allowed] <= t:
+                rest = allowed
+                while True:  # S2's highest bit, found upward
+                    top = rest & -rest
+                    if best[allowed & ((top << 1) - 1)] <= t:
+                        break
+                    rest ^= top
+                below = allowed & (top - 1)
                 s2 = 0
-                while s2 != allowed:
-                    s2 = (s2 - allowed) & allowed  # next submask, ascending
-                    if reach[s2] <= t:
-                        return frozenset(bits(s1)), frozenset(bits(s2))
+                while True:
+                    if reach[s2 | top] <= t:
+                        return frozenset(bits(s1)), frozenset(bits(s2 | top))
+                    if s2 == below:
+                        break
+                    s2 = (s2 - below) & below  # next submask, ascending
                 raise RuntimeError(f"no partner S2 for S1 = {sorted(bits(s1))}")
     return None
 

@@ -283,6 +283,35 @@ def test_a_threat_is_decoded_as_utf8_under_an_ascii_locale(tmp_path):
     assert not list(tmp_path.glob("run.*"))
 
 
+def test_every_input_door_skips_one_leading_byte_order_mark(tmp_path, capsys):
+    # the same inputs with and without a UTF-8 mark give the same bytes at every door:
+    # edge list, JSON graph, threat and config
+    inputs = {
+        "g.edges": b"3\n0 1\n1 2\n",
+        "g.json": b'{"n": 3, "edges": [[0, 1], [1, 2]]}',
+        "t.json": b'{"scope": "F-local", "F": 0, "malicious": []}',
+        "c.json": b'{"r_values": [1], "samples_per_p": 1, "p_values": [0.9]}',
+    }
+    codes = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        run = tmp_path / ("marked" if mark else "plain")
+        run.mkdir()
+        for name, data in inputs.items():
+            (run / name).write_bytes(mark + data)
+        codes.append([
+            main(["certify", str(run / "g.edges"), "--quiet"]),
+            main(["certify", str(run / "g.json"), "--quiet"]),
+            main(["simulate", str(run / "g.edges"), "--threat", str(run / "t.json"),
+                  "--out-prefix", str(run / "run"), "--quiet"]),
+            main(["experiment", "--config", str(run / "c.json"), "--output-dir", str(run / "exp"),
+                  "--quiet"]),
+        ])
+    assert codes[0] == codes[1] and 2 not in codes[0], capsys.readouterr().err
+    for name in ("g.edges.cert.json", "g.json.cert.json", "run.csv", "exp/summary.csv",
+                 "exp/records.csv"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_certify_json_graph(tmp_path, capsys):
     graph_file = tmp_path / "g.json"
     graph_file.write_text(json.dumps(graph_to_json_dict(new_graph(2, [(0, 1)]))))

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import random
 import re
 import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from robustnet import (
     tree_graph,
     write_edge_list,
 )
+import robustnet.graph as graph_module
 from robustnet.construct import TREE_SHAPES
 from robustnet.graph import bits, check_fields, check_int, check_number, read_input
 
@@ -505,6 +508,160 @@ def test_read_input_decodes_utf8_and_keeps_line_ends(tmp_path):
         read_input(tmp_path / "missing", str)
     with pytest.raises(IsADirectoryError):
         read_input(tmp_path, str)
+
+
+def _file_outcome(path, text):
+    """load_graph of text written to path as UTF-8: the graph, or the message after the path."""
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        return load_graph(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ")
+        return message[len(f"{path}: "):]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edge_list_texts())
+def test_edge_list_files_read_as_the_line_parser_reads_their_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("door") / "g.edges"
+    assert _file_outcome(path, text) == _outcome(parse_edge_list, text)
+
+
+# lines that take a block off the plain path, or into the line parser's errors
+_ODD_LINES = ["", "# note", "3 4  # note", "1  2", " 1 2", "1 2 ", "5\t6", "7 8\r", "+1 2",
+              "1 1", "0 99", "x", "1 2 3", "7", "000000000000000000001 2", "99999999999999999999 0"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_blocks_of_plain_and_other_lines_read_as_one_text(tmp_path_factory, data):
+    # blocks of 48 bytes: every text is cut into many, plain ones and others mixed,
+    # with rows both as a bool matrix and as packed bits
+    n = data.draw(st.integers(1, 40), label="n")
+    lines = [f"{u} {v}" for u, v in data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), max_size=60),
+        label="edges")]
+    for _ in range(data.draw(st.integers(0, 3), label="odd lines")):
+        at = data.draw(st.integers(0, len(lines)), label="at")
+        lines.insert(at, data.draw(st.sampled_from(_ODD_LINES), label="odd line"))
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]), label="line end")
+    text = f"{n}{end}" + "".join(line + end for line in lines)
+    path = tmp_path_factory.mktemp("blocks") / "g.edges"
+    bool_rows_n = data.draw(st.sampled_from([0, MAX_VERTICES]), label="bool rows up to")
+    with mock.patch.object(graph_module, "_READ_BLOCK_BYTES", 48), \
+            mock.patch.object(graph_module, "_BOOL_ROWS_N", bool_rows_n):
+        assert _file_outcome(path, text) == _outcome(parse_edge_list, text)
+
+
+def _large_edge_list():
+    """The edge list of G(800, 0.5): about 1.4 MiB, two blocks."""
+    text = format_edge_list(erdos_renyi(800, 0.5, 4))
+    assert len(text) > graph_module._READ_BLOCK_BYTES
+    return text
+
+
+def test_a_bad_token_in_the_second_block_reports_its_line(tmp_path):
+    lines = _large_edge_list().split("\n")
+    at = len(lines) - 1000  # line at + 1, in the second block
+    lines[at] = "12 x"
+    text = "\n".join(lines)
+    message = f"line {at + 1}: expected integers, got '12 x'"
+    assert _outcome(parse_edge_list, text) == message
+    assert _file_outcome(tmp_path / "g.edges", text) == message
+
+
+def test_a_bad_edge_in_the_first_block_is_named_after_a_bad_line_in_the_second(tmp_path):
+    lines = _large_edge_list().split("\n")
+    lines[5], lines[-1000] = "7 7", "1 2 3"
+    text = "\n".join(lines)
+    assert _file_outcome(tmp_path / "g.edges", text) == f"line {len(lines) - 999}: expected 'u v', got '1 2 3'"
+    lines[-1000] = "1 2"
+    text = "\n".join(lines)
+    assert _file_outcome(tmp_path / "g.edges", text) == "self-loop (7, 7) not allowed"
+
+
+def test_a_line_may_cross_the_first_read_but_not_fill_a_block(tmp_path):
+    block = graph_module._READ_BLOCK_BYTES
+    head = "4\n" + "0 1\n" * ((block - 100) // 4)
+    spaces = " " * 5000  # from before the first block's end to past it
+    text = head + "2" + spaces + "3\n1 2\n"
+    assert _file_outcome(tmp_path / "g.edges", text) == new_graph(4, [(0, 1), (2, 3), (1, 2)])
+    # a line of a block or more is refused with its number
+    text = head + "2" + " " * block + "3\n"
+    assert _file_outcome(tmp_path / "g.edges", text) == (
+        f"line {head.count(chr(10)) + 1}: longer than a block of {block} bytes")
+
+
+def test_a_file_with_other_line_breaks_is_cut_at_them(tmp_path):
+    text = _large_edge_list()
+    for end in ("\r", "\u2028"):
+        assert _file_outcome(tmp_path / "g.edges", text.replace("\n", end)) == parse_edge_list(text)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_line_fails_within_its_first_block():
+    with pytest.raises(ValueError, match="^/dev/zero: line 1: longer than a block"):
+        load_graph("/dev/zero")
+
+
+def test_bytes_that_are_not_utf8_are_placed_in_the_file(tmp_path):
+    lines = _large_edge_list().split("\n")
+    path = tmp_path / "g.edges"
+    for bad in (b"\xff", b"\xe2\x80"):  # one bad byte; a character cut short by the end
+        data = "\n".join(lines).encode("ascii") + b"# " + bad
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(ValueError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{path}: {whole.value}"
+
+
+def test_loading_a_large_edge_list_holds_one_block_and_the_rows(tmp_path):
+    # the line parser held the text, a list of its lines and an int an end: 142 MiB;
+    # the block reader holds a block, its ends and the rows, a byte a pair (4 MiB)
+    g = erdos_renyi(2000, 0.5, 1)
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    loaded = []
+    peak = traced_memory(lambda: loaded.append(load_graph(path)))[1]
+    assert loaded[0] == g
+    assert peak < 20 << 20
+
+
+def test_packed_rows_hold_the_same_graph(tmp_path):
+    g = erdos_renyi(graph_module._BOOL_ROWS_N + 100, 0.002, 3)
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    assert load_graph(path) == g
+
+
+@pytest.mark.parametrize("data, outcome", [
+    (b"\xef\xbb\xbf3\n0 1\n", new_graph(3, [(0, 1)])),
+    (b"\xef\xbb\xbf", "empty edge-list input"),
+    (b'\xef\xbb\xbf {"n": 2, "edges": [[0, 1]]}', new_graph(2, [(0, 1)])),
+    # one mark is skipped, not two
+    (b"\xef\xbb\xbf\xef\xbb\xbf3\n", "line 1: expected integers, got '\\ufeff3'"),
+    (b'\xef\xbb\xbf\xef\xbb\xbf{"n": 2, "edges": []}', "line 1: expected integers, got "
+                                                    "'\\ufeff{\"n\": 2, \"edges\": []}'"),
+    # bytes are placed in the file, the mark included
+    (b"\xef\xbb\xbf3\n\xff", "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+])
+def test_one_leading_byte_order_mark_is_skipped(tmp_path, data, outcome):
+    path = tmp_path / "g"
+    path.write_bytes(data)
+    try:
+        result = load_graph(path)
+    except ValueError as exc:
+        result = str(exc).removeprefix(f"{path}: ")
+    assert result == outcome
+    # read_input, the door of threat and config files, skips the same mark
+    if isinstance(outcome, str) and "decode" in outcome:
+        with pytest.raises(ValueError, match="in position 5"):
+            read_input(path, str)
+    else:
+        assert read_input(path, str) == data.decode("utf-8")[1:]
 
 
 def test_json_round_trip():

@@ -213,10 +213,11 @@ def test_capability_limit():
 
 
 def test_witness_walk_ends_after_the_last_submask():
-    # best promises S1 = {0} a partner with reach 0 that reach does not hold:
-    # the walk tries {1}, {2} and {1, 2}, then raises instead of wrapping round
+    # best promises S1 = {0} a partner with reach 0, first among the sets
+    # whose highest vertex is 2, that reach does not hold: the walk tries
+    # {2} and {1, 2}, then raises instead of wrapping round
     reach, best, pair = (np.array(table, dtype=np.int8) for table in
-                         ([127, 0, 2, 2, 2, 2, 2, 2], [127] + [0] * 7, [0] * 8))
+                         ([127, 0, 2, 2, 2, 2, 2, 2], [127, 0, 2, 0, 0, 0, 0, 0], [0] * 8))
     with pytest.raises(RuntimeError, match=r"S1 = \[0\]"):
         _violating_pair(reach, best, pair, 0)
 
