@@ -143,12 +143,20 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         return Graph(_word_sampled_rows(n, p, rng))
     rows = [0] * n
     draw = rng.random
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    for i, j, bit_i, bit_j in _pairs(n):
+        if draw() < p:
+            rows[i] |= bit_j
+            rows[j] |= bit_i
     return Graph(tuple(rows))
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, 1 << i, 1 << j) for the pairs i < j of a small graph, in
+    lexicographic order: made once for each n the one-draw loop sees.  That
+    loop takes only graphs of fewer than WORD_SAMPLER_PAIRS pairs (n <= 45),
+    so the cache holds at most 45 tables, of 15,180 pairs in all."""
+    return tuple((i, j, 1 << i, 1 << j) for i in range(n) for j in range(i + 1, n))
 
 
 def _word_sampled_rows(n: int, p: float, rng: random.Random) -> tuple[int, ...]:

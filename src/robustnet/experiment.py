@@ -34,8 +34,21 @@ SUMMARY_COLUMNS = ("r", "n", "min_edges_found", "bound", "gap", "accepted", "req
 def derive_seed(master_seed: int, r: int, n: int, p: float, attempt: int) -> int:
     """Stable per-attempt seed: the first 8 bytes, big-endian, of
     sha256("{master_seed}:{r}:{n}:{p!r}:{attempt}")."""
-    key = f"{master_seed}:{r}:{n}:{p!r}:{attempt}".encode("ascii")
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return _cell_seeds(master_seed, r, n, p)(attempt)
+
+
+def _cell_seeds(master_seed: int, r: int, n: int, p: float):
+    """derive_seed of the (r, n, p) cell as a function of the attempt: the
+    key's prefix "{master_seed}:{r}:{n}:{p!r}:" is hashed once, and each
+    attempt hashes a copy of that state on."""
+    cell = hashlib.sha256(f"{master_seed}:{r}:{n}:{p!r}:".encode("ascii"))
+
+    def seed(attempt: int) -> int:
+        key = cell.copy()
+        key.update(f"{attempt}".encode("ascii"))
+        return int.from_bytes(key.digest()[:8], "big")
+
+    return seed
 
 
 @dataclass(frozen=True)
@@ -114,22 +127,35 @@ class SummaryRow:
 
 
 def _certified_draws(config: ExperimentConfig, r: int, n: int, p: float):
-    """(seed, graph, r_max) for the attempts of one (r, n, p) cell, in order.
+    """The records of one (r, n, p) cell's attempts, in attempt order, up to
+    the samples_per_p-th accepted one or the end of the attempt budget.
 
-    The draws are certified in chunks by one robustness_levels call each:
-    first samples_per_p attempts, then twice the previous chunk, each capped
-    by the attempts left.  robustness_levels slices each chunk by the
-    certifier's table budget, so memory does not grow with the chunk.
+    The draws are certified in chunks by one robustness_levels call each.
+    The first chunk is samples_per_p attempts.  Each later one is the
+    attempts still expected at the acceptance rate seen so far,
+    ceil(need * attempts / accepted), or twice the previous chunk while
+    none is accepted; it is never more than twice the previous chunk or the
+    attempts left.  Draws certified past the last accepted one are dropped.
+    robustness_levels slices each chunk by the certifier's table budget, so
+    memory does not grow with the chunk.
     """
-    attempt = 0
+    seed_of = _cell_seeds(config.master_seed, r, n, p)
+    attempt = accepted = 0
     chunk = config.samples_per_p
     while attempt < config.max_attempts:
-        end = attempt + min(chunk, config.max_attempts - attempt)
-        seeds = [derive_seed(config.master_seed, r, n, p, a) for a in range(attempt, end)]
+        chunk = min(chunk, config.max_attempts - attempt)
+        seeds = [seed_of(a) for a in range(attempt, attempt + chunk)]
         graphs = [erdos_renyi(n, p, seed) for seed in seeds]
-        yield from zip(seeds, graphs, robustness_levels(graphs))
-        attempt = end
-        chunk *= 2
+        for seed, g, r_max in zip(seeds, graphs, robustness_levels(graphs)):
+            yield ExperimentRecord(r=r, n=n, p=p, seed=seed, edge_count=g.edge_count,
+                                   r_max=r_max, accepted=r_max == r)
+            if r_max == r:
+                accepted += 1
+                if accepted == config.samples_per_p:
+                    return
+        attempt += chunk
+        need = config.samples_per_p - accepted
+        chunk = min(2 * chunk, -(-need * attempt // accepted)) if accepted else 2 * chunk
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
@@ -139,9 +165,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
     of how the config lists its values.  Attempt budgets that run out leave
     a shortfall flag on the summary row rather than looping forever.
 
-    Attempts are certified in chunks (see _certified_draws) but consumed in
-    attempt order, so the output is that of one attempt at a time.  Each
-    summary row is computed from its (r, n) cell's records once the cell ends.
+    Attempts are certified in chunks (see _certified_draws), but the records
+    are those of one attempt at a time.  Each summary row is computed from
+    its (r, n) cell's records once the cell ends.
     """
     records: list[ExperimentRecord] = []
     summary: list[SummaryRow] = []
@@ -150,18 +176,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
         for n in sorted({2 * r - 1 if offset == "2r-1" else 2 * r for offset in config.node_offsets}):
             cell_start = len(records)
             for p in ps:
-                accepted = 0
-                for seed, g, r_max in _certified_draws(config, r, n, p):
-                    records.append(
-                        ExperimentRecord(
-                            r=r, n=n, p=p, seed=seed,
-                            edge_count=g.edge_count, r_max=r_max, accepted=r_max == r,
-                        )
-                    )
-                    if r_max == r:
-                        accepted += 1
-                        if accepted == config.samples_per_p:
-                            break  # the draws certified past this attempt are discarded
+                records += _certified_draws(config, r, n, p)
             edge_counts = [rec.edge_count for rec in records[cell_start:] if rec.accepted]
             summary.append(
                 SummaryRow(
@@ -178,10 +193,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], li
 
 def records_to_csv_text(records: list[ExperimentRecord]) -> str:
     lines = [",".join(RECORD_COLUMNS)]
+    # a cell's "r,n,p," is formatted once; it is matched by the identity of
+    # the r, n and p objects, so 1 and 1.0, or True and 1, never share one
+    cell = prefix = None
     for rec in records:
+        if cell is None or rec.r is not cell[0] or rec.n is not cell[1] or rec.p is not cell[2]:
+            cell = (rec.r, rec.n, rec.p)
+            prefix = f"{rec.r},{rec.n},{rec.p!r},"
         lines.append(
-            f"{rec.r},{rec.n},{rec.p!r},{rec.seed},{rec.edge_count},{rec.r_max},"
-            f"{'true' if rec.accepted else 'false'}"
+            f"{prefix}{rec.seed},{rec.edge_count},{rec.r_max},{'true' if rec.accepted else 'false'}"
         )
     return "\n".join([*lines, ""])
 

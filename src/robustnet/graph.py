@@ -31,6 +31,11 @@ MAX_VERTICES = 1 << 14
 # n = 20 the first two peak at 3.6 and 5.0 MiB under tracemalloc.
 MAX_EXACT_N = 20
 
+# read_input refuses a longer threat or config file before parsing it.  A
+# threat with a behaviour of three full-precision parameters for each of
+# MAX_VERTICES vertices takes 2.0 MB as compact JSON and 2.6 MB indented.
+MAX_INPUT_BYTES = 1 << 22
+
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -368,12 +373,22 @@ def read_input(path, parse):
 
     The reading twin of write_text: the file is opened unbuffered in binary,
     read whole and decoded as strict UTF-8, with no text layer and no locale
-    lookup.  One leading byte-order mark is skipped; line ends are kept as
-    they are.  Any ValueError from the bytes or from parse (JSON syntax or
-    nesting, a repeated key, shape or range) is raised as
+    lookup.  A file of more than MAX_INPUT_BYTES is refused after reading
+    one byte past the limit, so an endless input such as /dev/zero is
+    refused too.  One leading byte-order mark is skipped; line ends are kept
+    as they are.  Any ValueError from the bytes or from parse (JSON syntax
+    or nesting, a repeated key, shape or range, the length) is raised as
     ValueError("<path>: <message>"); an OSError passes unchanged.
     """
-    return _read_file(path, lambda f: parse(_decode(*_skip_bom(f.readall()))))
+    return _read_file(path, lambda f: parse(_decode(*_skip_bom(_read_capped(f)))))
+
+
+def _read_capped(f) -> bytes:
+    """All of f's bytes, or ValueError if there are more than MAX_INPUT_BYTES."""
+    data, eof = _read_head(f, MAX_INPUT_BYTES + 1)
+    if not eof:
+        raise ValueError(f"longer than the {MAX_INPUT_BYTES}-byte limit of an input file")
+    return data
 
 
 def _read_file(path, read):
@@ -458,9 +473,7 @@ def load_graph(path) -> Graph:
 
 
 def _read_graph(f) -> Graph:
-    size = os.fstat(f.fileno()).st_size  # 0 for a pipe or a device
-    # a small file is read by the size it has: no block-sized buffer is allocated for it
-    data, eof = _read_block(f, b"", size + 1 if 0 < size < _READ_BLOCK_BYTES else _READ_BLOCK_BYTES)
+    data, eof = _read_head(f, _READ_BLOCK_BYTES)
     data, offset = _skip_bom(data)
     if str(data, "utf-8", "replace").lstrip()[:1] == "{":
         text = _decode(data if eof else data + f.readall(), offset)
@@ -485,13 +498,20 @@ _DIGITS_TO_ZEROS = bytes.maketrans(_DIGITS, b"0" * 10)
 _BOOL_ROWS_N = 1 << 12
 
 
-def _read_block(f, carry: bytes, step: int) -> tuple[bytes, bool]:
-    """carry and the next bytes of f, up to _READ_BLOCK_BYTES in all, read at
-    most step bytes a call, and whether f has ended."""
+def _read_head(f, limit: int) -> tuple[bytes, bool]:
+    """The first limit bytes of f, and whether f has ended.  A small file is
+    read by the size it has: no limit-sized buffer is allocated for it."""
+    size = os.fstat(f.fileno()).st_size  # 0 for a pipe or a device
+    return _read_block(f, b"", size + 1 if 0 < size < limit else limit, limit)
+
+
+def _read_block(f, carry: bytes, step: int, limit: int) -> tuple[bytes, bool]:
+    """carry and the next bytes of f, up to limit in all, read at most step
+    bytes a call, and whether f has ended."""
     parts = [carry] if carry else []
     size = len(carry)
-    while size < _READ_BLOCK_BYTES:
-        part = f.read(min(step, _READ_BLOCK_BYTES - size))
+    while size < limit:
+        part = f.read(min(step, limit - size))
         if not part:
             return b"".join(parts), True
         parts.append(part)
@@ -546,7 +566,7 @@ def _read_edge_list(f, data: bytes, eof: bool, offset: int) -> Graph:
         offset += len(body)
         if eof:
             break
-        data, eof = _read_block(f, data, _READ_BLOCK_BYTES)
+        data, eof = _read_block(f, data, _READ_BLOCK_BYTES, _READ_BLOCK_BYTES)
     if n is None:
         raise ValueError("empty edge-list input")
     if fault:
@@ -614,7 +634,20 @@ def _add_edges(rows: np.ndarray, n: int, ends: Optional[np.ndarray], listed) -> 
 
 
 def _graph_from_rows(rows: np.ndarray) -> Graph:
-    packed = np.packbits(rows, axis=1, bitorder="little") if rows.dtype == bool else rows
-    if packed.shape[1] == 8:  # one word a row
-        return Graph(tuple(packed.view("<u8").ravel().tolist()))
-    return Graph(tuple(int.from_bytes(row, "little") for row in packed))
+    """The graph of the reader's rows, which are used up: past one word a
+    row, they are read into ints a block at a time from the last, and each
+    block is cut off the matrix once read, so the matrix and the ints
+    together stay near the size of one of them."""
+    if rows.dtype == bool and rows.shape[1] == 64:  # one word a row
+        return Graph(tuple(np.packbits(rows, axis=1, bitorder="little").view("<u8").ravel().tolist()))
+    step = max(1, _READ_BLOCK_BYTES // rows.shape[1])
+    blocks = []
+    for end in range(len(rows), 0, -step):
+        start = max(0, end - step)
+        block = rows[start:end]
+        if block.dtype == bool:
+            block = np.packbits(block, axis=1, bitorder="little")
+        blocks.append([int.from_bytes(row, "little") for row in block])
+        del block  # no view of rows may be alive when it is resized
+        rows.resize((start, rows.shape[1]), refcheck=False)
+    return Graph(tuple(row for block in reversed(blocks) for row in block))

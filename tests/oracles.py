@@ -22,6 +22,9 @@ counts a subset's edges pair by pair.
 listcomp_erdos_renyi and loop_run_experiment are the edge-list G(n, p)
 sampler and the one-attempt-at-a-time sweep that preceded the row-filling
 sampler and the chunked sweep; they fix every graph and every record.
+loop_records_to_csv_text is the records writer that preceded the prefix
+formatted once a cell: an f-string of all seven fields a record.  It fixes
+every byte of records.csv.
 
 getrandbits_word_rows is the word-level G(n, p) sampler that preceded the
 numpy MT19937 source: each row block's words from one getrandbits call,
@@ -310,6 +313,18 @@ def loop_run_experiment(config):
                 )
             )
     return records, summary
+
+
+def loop_records_to_csv_text(records):
+    """records.csv as records_to_csv_text must write it: a header, then every
+    field of every record formatted on its own line."""
+    lines = ["r,n,p,seed,edge_count,r_max,accepted"]
+    for rec in records:
+        lines.append(
+            f"{rec.r},{rec.n},{rec.p!r},{rec.seed},{rec.edge_count},{rec.r_max},"
+            f"{'true' if rec.accepted else 'false'}"
+        )
+    return "\n".join([*lines, ""])
 
 
 def loop_densest_subset(g, k):

@@ -422,6 +422,20 @@ def test_simulate_threat_violation_names_condition(tmp_path, capsys):
     assert "F-local violated" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_threat_or_config_is_an_input_error(tmp_path, capsys):
+    graph_file = tmp_path / "g5.edges"
+    main(["construct", "--kind", "sparsest-odd", "--r", "3", "--output", str(graph_file), "--quiet"])
+    prefix = tmp_path / "zero"
+    assert main(["simulate", str(graph_file), "--threat", "/dev/zero", "--quiet",
+                 "--out-prefix", str(prefix)]) == 2
+    assert "error: /dev/zero: longer than the" in capsys.readouterr().err
+    assert not (tmp_path / "zero.csv").exists()
+    assert main(["experiment", "--config", "/dev/zero", "--output-dir", str(tmp_path / "exp"),
+                 "--quiet"]) == 2
+    assert "error: /dev/zero: longer than the" in capsys.readouterr().err
+
+
 def test_simulate_rejects_non_finite_threat(tmp_path, capsys):
     graph_file = tmp_path / "g5.edges"
     main(["construct", "--kind", "sparsest-odd", "--r", "3",

@@ -13,6 +13,7 @@ import robustnet.robustness
 from robustnet import (
     MAX_EXACT_N,
     ExperimentConfig,
+    ExperimentRecord,
     check_structural_lemmas,
     derive_seed,
     edge_lower_bound,
@@ -23,10 +24,12 @@ from robustnet import (
     run_experiment,
     summary_to_csv_text,
 )
-from robustnet.experiment import NODE_OFFSET_CHOICES, RECORD_COLUMNS, SUMMARY_COLUMNS
+from robustnet.experiment import (DEFAULT_P_VALUES, DEFAULT_R_VALUES, NODE_OFFSET_CHOICES,
+                                  RECORD_COLUMNS, SUMMARY_COLUMNS)
 from robustnet.robustness import _CHUNK, _subset_tables
 
-from oracles import DEFAULT_SWEEP_SHA256, loop_run_experiment, traced_memory
+from oracles import (DEFAULT_SWEEP_SHA256, loop_records_to_csv_text, loop_run_experiment,
+                     traced_memory)
 
 
 def test_derive_seed_is_stable():
@@ -238,9 +241,89 @@ def test_run_experiment_matches_loop_oracle(config):
     assert run_experiment(config) == loop_run_experiment(config)
 
 
+# p values a hypothesis config draws from: at n <= 8, 0.05 and 0.2 are rarely
+# accepted past r = 1, so their cells size chunks from one or two acceptances
+_P_POOL = (0.05, 0.2, 0.5, 0.75, 0.9, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.builds(
+    ExperimentConfig,
+    r_values=st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),
+    samples_per_p=st.integers(1, 6),
+    p_values=st.lists(st.sampled_from(_P_POOL), min_size=1, max_size=3, unique=True),
+    node_offsets=st.lists(st.sampled_from(NODE_OFFSET_CHOICES), min_size=1, max_size=2, unique=True),
+    master_seed=st.integers(0, 2**64),
+    max_attempts=st.integers(1, 40),
+))
+def test_need_sized_chunks_match_loop_oracle(config):
+    assert run_experiment(config) == loop_run_experiment(config)
+
+
+def test_chunks_grow_at_most_twofold_and_the_default_sweep_certifies_fewer_graphs(monkeypatch):
+    cells = []  # the chunk sizes of each (r, n, p) cell
+    cell_seeds = robustnet.experiment._cell_seeds
+
+    def cell_spy(*key):
+        cells.append([])
+        return cell_seeds(*key)
+
+    def chunk_spy(graphs):
+        cells[-1].append(len(graphs))
+        return robustness_levels(graphs)
+
+    monkeypatch.setattr(robustnet.experiment, "_cell_seeds", cell_spy)
+    monkeypatch.setattr(robustnet.experiment, "robustness_levels", chunk_spy)
+    config = ExperimentConfig()
+    records, _ = run_experiment(config)
+    assert len(cells) == len(config.r_values) * len(config.node_offsets) * len(config.p_values)
+    for chunks in cells:
+        assert chunks[0] == config.samples_per_p
+        assert all(0 < later <= 2 * earlier for earlier, later in zip(chunks, chunks[1:]))
+    # one chunk twice the last drew 12,690 graphs in 159 calls for the same 10,421 records
+    assert len(records) == 10421
+    assert sum(map(sum, cells)) == 11722
+    assert sum(map(len, cells)) == 171
+
+
+def _record(r, n, p, seed=7, edge_count=3, r_max=1):
+    return ExperimentRecord(r=r, n=n, p=p, seed=seed, edge_count=edge_count, r_max=r_max,
+                            accepted=r_max == r)
+
+
+def test_records_prefix_follows_each_value_as_written():
+    # 1 and 1.0, and True and 1, are equal but print differently: no record
+    # may take another's "r,n,p," for them
+    ones = run_experiment(small_config(r_values=(1,), p_values=[1]))[0]
+    floats = run_experiment(small_config(r_values=(1,), p_values=[1.0]))[0]
+    assert ones[0].p == floats[0].p and repr(ones[0].p) != repr(floats[0].p)
+    records = ones + floats + ones
+    assert records_to_csv_text(records) == loop_records_to_csv_text(records)
+    assert "\n1,1,1.0," in records_to_csv_text(records)
+    mixed = [_record(1, 2, 1), _record(True, 2, 1), _record(1, 2, 1.0), _record(1, 2, 1),
+             _record(True, True, True), _record(1, 1, 1), _record(True, 2, 0.5), _record(1, 2, 0.5)]
+    assert records_to_csv_text(mixed) == loop_records_to_csv_text(mixed)
+    assert records_to_csv_text(mixed).splitlines()[2].startswith("True,2,1,")
+    assert records_to_csv_text([]) == loop_records_to_csv_text([])
+
+
+def test_bench_sized_records_match_loop_writer():
+    # the default grid as one run_experiment call a cell, each config read
+    # from its own JSON, so every cell holds its own p object
+    records = []
+    for r in DEFAULT_R_VALUES:
+        for offset in NODE_OFFSET_CHOICES:
+            for p in DEFAULT_P_VALUES:
+                config = json.loads(json.dumps(dict(r_values=[r], node_offsets=[offset], p_values=[p],
+                                                    samples_per_p=5, max_attempts=10)))
+                records += run_experiment(ExperimentConfig.from_json_dict(config))[0]
+    assert records_to_csv_text(records) == loop_records_to_csv_text(records)
+
+
 def test_default_sweep_goldens():
     records, summary = run_experiment(ExperimentConfig())
     assert len(records) == 10421
+    assert records_to_csv_text(records) == loop_records_to_csv_text(records)
     assert [(row.r, row.n, row.accepted, row.requested) for row in summary if row.shortfall] \
         == [(6, 11, 45, 50)]
     assert hashlib.sha256(records_to_csv_text(records).encode()).hexdigest() \
@@ -256,8 +339,9 @@ def test_default_sweep_goldens():
 
 
 def test_slices_stay_within_one_certification_at_n_20(monkeypatch):
-    # chunks double, capped only by the attempts left; robustness_levels then
-    # slices each chunk to at most _CHUNK table entries, or one graph at n = 20
+    # with nothing accepted, chunks double, capped by the attempts left;
+    # robustness_levels then slices each chunk to at most _CHUNK table
+    # entries, or one graph at n = 20
     chunks, slices = [], []
 
     def chunk_spy(graphs):

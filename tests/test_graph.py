@@ -33,7 +33,8 @@ from robustnet import (
 )
 import robustnet.graph as graph_module
 from robustnet.construct import TREE_SHAPES
-from robustnet.graph import bits, check_fields, check_int, check_number, read_input
+from robustnet.graph import (MAX_INPUT_BYTES, bits, check_fields, check_int, check_number,
+                             parse_json, read_input)
 
 from oracles import (
     complete_graph,
@@ -510,6 +511,37 @@ def test_read_input_decodes_utf8_and_keeps_line_ends(tmp_path):
         read_input(tmp_path, str)
 
 
+def test_read_input_refuses_a_file_past_its_byte_limit(tmp_path):
+    path = tmp_path / "t.json"
+    text = '{"F": 0}'
+    path.write_bytes(text.encode("ascii") + b" " * (MAX_INPUT_BYTES - len(text)))
+    assert read_input(path, parse_json) == {"F": 0}
+    with path.open("ab") as f:
+        f.write(b" ")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: longer than the "
+                                         f"{MAX_INPUT_BYTES}-byte limit of an input file$"):
+        read_input(path, parse_json)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_read_input_refuses_an_endless_input():
+    # read whole, /dev/zero would take every byte of memory there is
+    found = []
+    peak = traced_memory(lambda: found.append(pytest.raises(ValueError, read_input, "/dev/zero", str)))[1]
+    assert str(found[0].value) == f"/dev/zero: longer than the {MAX_INPUT_BYTES}-byte limit of an input file"
+    assert peak < MAX_INPUT_BYTES + (1 << 20)
+
+
+def test_a_threat_for_every_vertex_fits_within_the_input_limit(tmp_path):
+    spec = {"kind": "sinusoid", "amplitude": 1.2345678901234567, "offset": -0.1234567890123456,
+            "period": 20.123456789012345}
+    threat = {"scope": "F-total", "F": MAX_VERTICES,
+              "behaviors": {str(v): spec for v in range(MAX_VERTICES)}}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(threat, indent=2))
+    assert read_input(path, parse_json) == threat
+
+
 def _file_outcome(path, text):
     """load_graph of text written to path as UTF-8: the graph, or the message after the path."""
     path.write_bytes(text.encode("utf-8"))
@@ -628,6 +660,25 @@ def test_loading_a_large_edge_list_holds_one_block_and_the_rows(tmp_path):
     peak = traced_memory(lambda: loaded.append(load_graph(path)))[1]
     assert loaded[0] == g
     assert peak < 20 << 20
+
+
+def test_loading_at_the_vertex_limit_releases_the_rows_as_it_makes_ints(tmp_path):
+    # a sparse edge list of MAX_VERTICES vertices, as large as G(16384, 0.001)'s:
+    # the packed rows take 32 MiB and the row ints 33.6 MiB; holding both at
+    # once peaked at 67.6 MiB
+    n = MAX_VERTICES
+    rng = np.random.default_rng(1)
+    ends = rng.integers(0, n, size=(140_000, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    ends[:n, 0] = np.arange(n)  # every row reaches a high column
+    ends[:n, 1] = n - 1 - np.arange(n)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    path = tmp_path / "g.edges"
+    path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in ends.tolist()))
+    loaded = []
+    peak = traced_memory(lambda: loaded.append(load_graph(path)))[1]
+    assert loaded[0] == new_graph(n, ends.tolist())
+    assert peak < 48 << 20
 
 
 def test_packed_rows_hold_the_same_graph(tmp_path):
